@@ -108,14 +108,18 @@ func main() {
 			fmt.Fprintln(os.Stderr, "delta-sim:", err)
 			os.Exit(2)
 		}
-		sims[i] = sim
 		if *mix != "" {
-			sims[i].LoadMix(*mix)
+			err = sim.LoadMixE(*mix)
 		} else {
-			for c := 0; c < *cores; c++ {
-				sims[i].SetWorkload(c, delta.Workload{App: *app})
+			for c := 0; c < *cores && err == nil; c++ {
+				err = sim.SetWorkloadE(c, delta.Workload{App: *app})
 			}
 		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "delta-sim:", err)
+			os.Exit(2)
+		}
+		sims[i] = sim
 	}
 	results := make([]delta.Result, len(sims))
 	experiments.ForEach(*parallel, len(sims), func(i int) {

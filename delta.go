@@ -186,8 +186,13 @@ type Simulator struct {
 	appByCore map[int]snapshot.AppAssignment
 	hasCustom bool
 
-	mu       sync.Mutex
-	lastSnap *Snapshot
+	// Auto-checkpoints (snapshot.go): lastSnap is the latest, lastEscaped
+	// records that LastSnapshot handed it out, and spare is an earlier,
+	// never-escaped checkpoint whose buffers the next capture reuses.
+	mu          sync.Mutex
+	lastSnap    *Snapshot
+	lastEscaped bool
+	spare       *Snapshot
 }
 
 // Canonical returns the configuration with every default resolved, exactly

@@ -15,16 +15,24 @@ import (
 // Invalid slots store zeroes in every array, so encodings stay byte-identical
 // across layout changes.
 func (c *Cache) Snapshot() snapshot.Cache {
+	var s snapshot.Cache
+	c.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto is Snapshot writing into dst, reusing its slices when they
+// are large enough; the result equals a fresh Snapshot's.
+func (c *Cache) SnapshotInto(dst *snapshot.Cache) {
 	n := c.Sets * c.Ways
 	s := snapshot.Cache{
 		Sets:    c.Sets,
 		Ways:    c.Ways,
 		Clk:     c.clk,
-		Addrs:   make([]uint64, n),
-		Flags:   make([]byte, n),
-		Owners:  make([]int16, n),
-		Sharers: make([]uint64, n),
-		Used:    make([]uint64, n),
+		Addrs:   resize(dst.Addrs, n),
+		Flags:   resize(dst.Flags, n),
+		Owners:  resize(dst.Owners, n),
+		Sharers: resize(dst.Sharers, n),
+		Used:    resize(dst.Used, n),
 		Stats: snapshot.CacheStats{
 			Accesses:    c.Stats.Accesses,
 			Hits:        c.Stats.Hits,
@@ -35,29 +43,33 @@ func (c *Cache) Snapshot() snapshot.Cache {
 			BulkWalks:   c.Stats.BulkWalks,
 		},
 	}
+	ways := c.Ways
 	for set := 0; set < c.Sets; set++ {
 		v, d := c.valid[set], c.dirty[set]
-		lineBase := set * c.Ways
-		wordBase := set * c.stride
-		for w := 0; w < c.Ways; w++ {
-			s.Addrs[lineBase+w] = c.words[wordBase+w]
-			s.Used[lineBase+w] = c.words[wordBase+c.Ways+w]
-			s.Sharers[lineBase+w] = c.words[wordBase+2*c.Ways+w]
-			s.Owners[lineBase+w] = int16(uint16(c.words[wordBase+3*c.Ways+w]))
-			var f byte
-			if v&(1<<uint(w)) != 0 {
-				f |= 1
-			}
-			if d&(1<<uint(w)) != 0 {
-				f |= 2
-			}
-			s.Flags[lineBase+w] = f
+		lo, hi := set*ways, (set+1)*ways
+		blk := c.words[set*c.stride : set*c.stride+4*ways]
+		copy(s.Addrs[lo:hi], blk[:ways])
+		copy(s.Used[lo:hi], blk[ways:2*ways])
+		copy(s.Sharers[lo:hi], blk[2*ways:3*ways])
+		owners, flags := s.Owners[lo:hi], s.Flags[lo:hi]
+		for w, o := range blk[3*ways : 4*ways] {
+			owners[w] = int16(uint16(o))
+			flags[w] = byte(v>>uint(w)&1) | byte(d>>uint(w)&1)<<1
 		}
 	}
-	if c.occupancy != nil {
-		s.Occupancy = append([]uint64(nil), c.occupancy...)
+	if len(c.occupancy) > 0 {
+		s.Occupancy = append(dst.Occupancy[:0], c.occupancy...)
 	}
-	return s
+	*dst = s
+}
+
+// resize returns a non-nil slice of length n, reusing s's backing array when
+// it is large enough. Every element is overwritten by the caller.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Restore overwrites the array state from a snapshot taken on a cache with

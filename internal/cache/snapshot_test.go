@@ -71,6 +71,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(restored.Snapshot(), orig.Snapshot()) {
 		t.Fatal("restored cache diverged from original under identical workload")
 	}
+	// Recapturing into an earlier capture's buffers equals a fresh capture.
+	restored.SnapshotInto(&snap)
+	if !reflect.DeepEqual(snap, orig.Snapshot()) {
+		t.Fatal("SnapshotInto a reused capture differs from a fresh Snapshot")
+	}
 }
 
 // TestSnapshotRestoreRejectsMismatch: geometry and occupancy-table shape are

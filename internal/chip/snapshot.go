@@ -29,13 +29,28 @@ type PolicySnapshotter interface {
 // snapshot.ErrNotSnapshotable-wrapped error if any tile runs a generator
 // that does not implement trace.Snapshotter.
 func (c *Chip) Snapshot() (*snapshot.Chip, error) {
+	s := &snapshot.Chip{}
+	if err := c.SnapshotInto(s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// SnapshotInto is Snapshot writing into s, reusing the bulk buffers (cache
+// arrays and UMON stacks) of the capture s already holds; the result equals
+// a fresh Snapshot's. On error s is left partially overwritten.
+func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
 	events, err := c.events.Pending()
 	if err != nil {
-		return nil, fmt.Errorf("chip: %w", err)
+		return fmt.Errorf("chip: %w", err)
 	}
-	s := &snapshot.Chip{
+	tiles := s.Tiles
+	if tiles == nil || len(tiles) != len(c.Tiles) {
+		tiles = make([]snapshot.Tile, len(c.Tiles))
+	}
+	*s = snapshot.Chip{
 		Now:    c.now,
-		Tiles:  make([]snapshot.Tile, len(c.Tiles)),
+		Tiles:  tiles,
 		Events: events,
 		Policy: snapshot.Policy{Kind: c.policy.Name()},
 		NoC:    c.Net.Snapshot(),
@@ -51,17 +66,18 @@ func (c *Chip) Snapshot() (*snapshot.Chip, error) {
 	if ps, ok := c.policy.(PolicySnapshotter); ok {
 		pol, err := ps.SnapshotPolicy()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Policy = *pol
 	}
 	for i, t := range c.Tiles {
+		prev := &tiles[i]
 		st := snapshot.Tile{
 			Core:            t.Core.Snapshot(),
-			L1:              t.L1.Snapshot(),
-			L2:              t.L2.Snapshot(),
-			LLC:             t.LLC.Snapshot(),
-			Mon:             t.Mon.Snapshot(),
+			L1:              prev.L1,
+			L2:              prev.L2,
+			LLC:             prev.LLC,
+			Mon:             prev.Mon,
 			Base:            t.base,
 			LLCAccesses:     t.LLCAccesses,
 			LLCRemoteHits:   t.LLCRemoteHits,
@@ -87,6 +103,10 @@ func (c *Chip) Snapshot() (*snapshot.Chip, error) {
 			SampBankAcc:     t.sampBankAcc,
 			SampBankHits:    t.sampBankHits,
 		}
+		t.L1.SnapshotInto(&st.L1)
+		t.L2.SnapshotInto(&st.L2)
+		t.LLC.SnapshotInto(&st.LLC)
+		t.Mon.SnapshotInto(&st.Mon)
 		if t.ratePct != 100 {
 			st.RatePct = t.ratePct
 		}
@@ -96,11 +116,11 @@ func (c *Chip) Snapshot() (*snapshot.Chip, error) {
 		if t.gen != nil {
 			g, err := trace.SnapshotGen(t.gen)
 			if err != nil {
-				return nil, fmt.Errorf("chip: tile %d: %w", i, err)
+				return fmt.Errorf("chip: tile %d: %w", i, err)
 			}
 			st.Gen = g
 		}
-		s.Tiles[i] = st
+		*prev = st
 	}
 	if c.classifier != nil {
 		cls := c.classifier.Snapshot()
@@ -126,7 +146,7 @@ func (c *Chip) Snapshot() (*snapshot.Chip, error) {
 			Mem:    snapshot.MemStats{Requests: c.sampleMem.Requests, QueueDelay: c.sampleMem.QueueDelay},
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Restore overwrites the chip's state from a snapshot taken on a chip with

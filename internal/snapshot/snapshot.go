@@ -9,9 +9,11 @@
 // defined here, so this package never imports the packages it describes
 // (only internal/sim, for the reified control-message type).
 //
-// Determinism: Go's encoding/json marshals struct fields in declaration
-// order and the format contains no maps, so encoding the same state twice
-// yields byte-identical output. All floating-point state is stored as
+// Determinism: the wire form is what Go's encoding/json marshals (struct
+// fields in declaration order, no maps), so encoding the same state twice
+// yields byte-identical output. Encode and Decode implement that form by
+// hand for speed; encoding/json remains the reference and Decode's fallback
+// (codec.go). All floating-point state is stored as
 // IEEE-754 bit patterns (uint64 fields with a Bits suffix) so ±Inf and exact
 // values survive the round trip.
 //
@@ -450,18 +452,31 @@ type Sampler struct {
 	Mem    MemStats `json:"mem"`
 }
 
-// Encode serializes an envelope, stamping the current schema version.
+// Encode serializes an envelope in the canonical form (see codec.go): the
+// bytes json.Marshal would produce, with the current schema version in
+// place of env.SchemaVersion. The envelope is only read, so goroutines may
+// encode one shared envelope concurrently.
 func Encode(env *Envelope) ([]byte, error) {
-	env.SchemaVersion = Version
-	return json.Marshal(env)
+	e := encoder{buf: make([]byte, 0, sizeHint(env))}
+	e.envelope(env)
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.buf, nil
 }
 
 // Decode parses an envelope, rejecting any schema version other than the
-// current one with a *VersionError.
+// current one with a *VersionError. Input in the canonical form takes the
+// one-pass parser; anything else (whitespace, reordered or unknown keys,
+// escapes, malformed bytes) goes to json.Unmarshal, so every input is
+// accepted or rejected, and decodes, exactly as encoding/json would.
 func Decode(data []byte) (*Envelope, error) {
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("snapshot: decode: %w", err)
+	env, ok := DecodeCanonical(data)
+	if !ok {
+		env = &Envelope{}
+		if err := json.Unmarshal(data, env); err != nil {
+			return nil, fmt.Errorf("snapshot: decode: %w", err)
+		}
 	}
 	if env.SchemaVersion != Version {
 		return nil, &VersionError{Got: env.SchemaVersion, Want: Version}
@@ -469,5 +484,18 @@ func Decode(data []byte) (*Envelope, error) {
 	if env.Chip == nil {
 		return nil, errors.New("snapshot: envelope has no chip state")
 	}
-	return &env, nil
+	return env, nil
+}
+
+// DecodeCanonical parses data only if it is in the canonical form Encode
+// writes, reporting ok=false (and no error) for any other input. What it
+// accepts, it decodes to the value json.Unmarshal would produce. It does not
+// check the schema version or the chip's presence; Decode does.
+func DecodeCanonical(data []byte) (env *Envelope, ok bool) {
+	d := decoder{data: data, ok: true}
+	env = d.envelope()
+	if !d.ok {
+		return nil, false
+	}
+	return env, true
 }

@@ -10,19 +10,33 @@ import (
 // Snapshot captures the shadow-tag LRU stacks and the scaled hit/miss
 // counters. Floats are stored as IEEE-754 bits for exact round-tripping.
 func (m *Monitor) Snapshot() snapshot.Umon {
-	s := snapshot.Umon{
-		Stacks:           make([][]uint64, len(m.stacks)),
-		HitsBits:         floatsToBits(m.hits),
+	var s snapshot.Umon
+	m.SnapshotInto(&s)
+	return s
+}
+
+// SnapshotInto is Snapshot writing into dst, reusing its slices when they
+// are large enough; the result equals a fresh Snapshot's.
+func (m *Monitor) SnapshotInto(dst *snapshot.Umon) {
+	stacks := dst.Stacks
+	if stacks == nil || len(stacks) != len(m.stacks) {
+		stacks = make([][]uint64, len(m.stacks))
+	}
+	for i, st := range m.stacks {
+		if stacks[i] == nil {
+			stacks[i] = make([]uint64, 0, m.cfg.MaxWays)
+		}
+		stacks[i] = append(stacks[i][:0], st...)
+	}
+	*dst = snapshot.Umon{
+		Stacks:           stacks,
+		HitsBits:         floatsToBits(dst.HitsBits, m.hits),
 		MissesBits:       math.Float64bits(m.misses),
 		AccessesBits:     math.Float64bits(m.accesses),
-		LastHitsBits:     floatsToBits(m.lastHits),
+		LastHitsBits:     floatsToBits(dst.LastHitsBits, m.lastHits),
 		LastMissesBits:   math.Float64bits(m.lastMisses),
 		LastAccessesBits: math.Float64bits(m.lastAccesses),
 	}
-	for i, st := range m.stacks {
-		s.Stacks[i] = append([]uint64{}, st...)
-	}
-	return s
 }
 
 // Restore overwrites the monitor's mutable state from a snapshot taken on a
@@ -49,8 +63,13 @@ func (m *Monitor) Restore(s snapshot.Umon) error {
 	return nil
 }
 
-func floatsToBits(fs []float64) []uint64 {
-	out := make([]uint64, len(fs))
+// floatsToBits stores fs as bits in dst (reused when large enough) and
+// returns it; the result is never nil.
+func floatsToBits(dst []uint64, fs []float64) []uint64 {
+	if dst == nil || cap(dst) < len(fs) {
+		dst = make([]uint64, len(fs))
+	}
+	out := dst[:len(fs)]
 	for i, f := range fs {
 		out[i] = math.Float64bits(f)
 	}

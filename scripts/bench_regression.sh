@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Bench-regression smoke: run the two hot-path benchmarks at a short
+# Bench-regression smoke: run the hot-path benchmarks at a short
 # -benchtime and fail on allocs/op regressions. Wall-clock on the shared
 # 1-CPU CI runner is too noisy to gate on, but allocation counts are exact
 # and deterministic, so this catches the classic regression class (a
@@ -10,16 +10,23 @@
 #   BenchmarkChipRun       must stay under CHIPRUN_ALLOC_CEILING allocs/op
 #     (fast-forward seeding allocates once per run; measured 3286,
 #      ceiling leaves headroom for counted-but-benign drift)
+#   BenchmarkSnapshotCodec/decode must stay under SNAPDECODE_ALLOC_CEILING
+#     allocs/op (the canonical parser on a 16-core churn checkpoint measured
+#     3033; the encoding/json fallback allocates about 12850, so a snapshot
+#     that silently stops taking the fast path fails here instead of only
+#     slowing down)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CHIPRUN_ALLOC_CEILING=3700
+SNAPDECODE_ALLOC_CEILING=4500
 
 # AccessPath iterates per memory reference (~300ns each): 10000x is
 # milliseconds. ChipRun iterates whole runs (~200ms each): keep it at 1x.
 ap=$(go test -run '^$' -bench 'BenchmarkAccessPath' -benchtime 10000x ./internal/chip)
 cr=$(go test -run '^$' -bench 'BenchmarkChipRun$' -benchtime 1x ./internal/chip)
-out=$(printf '%s\n%s\n' "${ap}" "${cr}")
+sd=$(go test -run '^$' -bench 'BenchmarkSnapshotCodec/decode$' -benchtime 3x .)
+out=$(printf '%s\n%s\n%s\n' "${ap}" "${cr}" "${sd}")
 echo "${out}"
 
 FAIL=0
@@ -37,6 +44,12 @@ while read -r name _ _ _ _ _ allocs _; do
       FAIL=1
     fi
     ;;
+  BenchmarkSnapshotCodec/decode | BenchmarkSnapshotCodec/decode-*)
+    if [ "${allocs}" -gt "${SNAPDECODE_ALLOC_CEILING}" ]; then
+      echo "FAIL: ${name} allocates ${allocs} allocs/op, ceiling ${SNAPDECODE_ALLOC_CEILING}" >&2
+      FAIL=1
+    fi
+    ;;
   esac
 done < <(echo "${out}" | grep -E '^Benchmark')
 
@@ -44,6 +57,7 @@ done < <(echo "${out}" | grep -E '^Benchmark')
 # passing silently would defeat the lane.
 echo "${out}" | grep -q '^BenchmarkAccessPath/' || { echo "FAIL: AccessPath did not run" >&2; FAIL=1; }
 echo "${out}" | grep -qE '^BenchmarkChipRun(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipRun did not run" >&2; FAIL=1; }
+echo "${out}" | grep -qE '^BenchmarkSnapshotCodec/decode(-[0-9]+)?[[:space:]]' || { echo "FAIL: SnapshotCodec/decode did not run" >&2; FAIL=1; }
 
 [ "${FAIL}" -eq 0 ] || exit 1
 echo "bench regression smoke: OK"

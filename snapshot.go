@@ -63,6 +63,12 @@ const snapshotKind = "delta.simulator"
 // a workload was loaded from a custom Generator — restore needs named specs
 // to rebuild the generator tree.
 func (s *Simulator) Snapshot() (*Snapshot, error) {
+	return s.snapshotInto(nil)
+}
+
+// snapshotInto captures into dst's buffers (a fresh snapshot when dst is
+// nil) and returns it. dst must not be visible to any other goroutine.
+func (s *Simulator) snapshotInto(dst *Snapshot) (*Snapshot, error) {
 	if s.hasCustom {
 		return nil, fmt.Errorf("delta: custom Generator workloads: %w", ErrNotSnapshotable)
 	}
@@ -73,8 +79,11 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	chipSnap, err := s.chip.Snapshot()
-	if err != nil {
+	chipSnap := &snapshot.Chip{}
+	if dst != nil {
+		chipSnap = dst.env.Chip
+	}
+	if err := s.chip.SnapshotInto(chipSnap); err != nil {
 		return nil, err
 	}
 	w := &snapshot.Workloads{Mix: s.mixName}
@@ -96,19 +105,35 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 func (s *Simulator) LastSnapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.lastEscaped = s.lastSnap != nil
 	return s.lastSnap
 }
 
 // storeCheckpoint captures the current state into lastSnap; failures
 // (e.g. custom generators) leave the previous checkpoint in place.
+//
+// The capture reuses the buffers of the checkpoint before the one it
+// replaces (the spare), so steady-state checkpointing allocates almost
+// nothing. A checkpoint that LastSnapshot handed out has escaped and is
+// never reused: the replaced checkpoint only becomes the spare if nobody
+// saw it, and the swap happens under mu, so no caller can observe a buffer
+// being rewritten.
 func (s *Simulator) storeCheckpoint() {
-	snap, err := s.Snapshot()
+	s.mu.Lock()
+	spare := s.spare
+	s.spare = nil
+	s.mu.Unlock()
+	snap, err := s.snapshotInto(spare)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err != nil {
+		s.spare = spare
 		return
 	}
-	s.mu.Lock()
-	s.lastSnap = snap
-	s.mu.Unlock()
+	if s.lastSnap != nil && !s.lastEscaped {
+		s.spare = s.lastSnap
+	}
+	s.lastSnap, s.lastEscaped = snap, false
 }
 
 // Fingerprint returns a deterministic digest string of the full simulator

@@ -13,7 +13,7 @@ import (
 
 // runToBoundary runs sim until the k-th quantum boundary, then cancels; the
 // chip rests at an exact boundary when RunCtx returns.
-func runToBoundary(t *testing.T, sim *Simulator, k int) {
+func runToBoundary(t testing.TB, sim *Simulator, k int) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
