@@ -25,6 +25,8 @@ import (
 	"strings"
 
 	"delta"
+	"delta/internal/bankbw"
+	"delta/internal/core"
 	"delta/internal/experiments"
 	"delta/internal/metrics"
 	"delta/internal/profiling"
@@ -173,7 +175,7 @@ func report(policy string, cores int, res delta.Result, sim *delta.Simulator) {
 	fmt.Printf("fairness (Jain index): %.4f\n", metrics.JainIndex(ipcs(res)))
 	fmt.Printf("control traffic: %.3f%% of NoC messages\n", res.ControlMessageFraction*100)
 	fmt.Printf("invalidated lines: %d\n", res.InvalidatedLines)
-	if d := sim.Delta(); d != nil {
+	if d, ok := bankbw.Unwrap(sim.Policy()).(*core.Delta); ok {
 		fmt.Printf("delta stats: %+v\n", d.Stats)
 		for _, c := range res.Cores {
 			fmt.Printf("core %2d allocation: %d ways\n", c.Core, d.TotalWays(c.Core))

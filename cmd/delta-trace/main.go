@@ -85,8 +85,13 @@ func main() {
 		"policy", "geomean IPC", "vs s-nuca", "ctrl msg %", "inval lines")
 	base := 0.0
 	var deltaRun experiments.MixRun
+	reconf := reconfigRecorder{telemetry.NewMemory(0)}
 	for _, pol := range experiments.PaperPolicies {
-		run := sc.RunMix(pol, mix, *cores)
+		s := sc
+		if pol == "delta" {
+			s.Recorder = reconf
+		}
+		run := s.RunMix(pol, mix, *cores)
 		geo := metrics.GeoMean(run.IPCs())
 		if pol == "snuca" {
 			base = geo
@@ -124,12 +129,34 @@ func main() {
 			100*float64(tr.LocalHits)/float64(tr.LocalHits+tr.RemoteHits), tr.AvgQueueDelay)
 	}
 	fmt.Printf("\nfirst %d reconfiguration events:\n", *events)
-	for i, ev := range d.Events() {
+	if n := reconf.DroppedEvents(); n > 0 {
+		fmt.Printf("  (the ring dropped the %d earliest)\n", n)
+	}
+	for i, ev := range reconf.Events() {
 		if i >= *events {
 			break
 		}
+		// Report the core whose allocation grew (or, for a retreat, shrank).
+		core := ev.Core
+		if ev.Kind == telemetry.KindCede || ev.Kind == telemetry.KindIdleGrant {
+			core = ev.Peer
+		}
 		fmt.Printf("  @%-9d %-13s core %2d (%-10s) bank %2d ways %d\n",
-			ev.Cycle, ev.Kind, ev.Core, slots[ev.Core].Name, ev.Bank, ev.Ways)
+			ev.Cycle, ev.Kind, core, slots[core].Name, ev.Bank, ev.Ways)
+	}
+}
+
+// reconfigRecorder keeps only DELTA's reconfiguration events (cedes, idle
+// grants, intra-bank shifts and retreats) in its ring, so the ring's
+// capacity goes to the events delta-trace lists, not to challenges and
+// remaps.
+type reconfigRecorder struct{ *telemetry.Memory }
+
+// Event implements telemetry.Recorder.
+func (r reconfigRecorder) Event(ev telemetry.Event) {
+	switch ev.Kind {
+	case telemetry.KindCede, telemetry.KindIdleGrant, telemetry.KindIntraShift, telemetry.KindRetreat:
+		r.Memory.Event(ev)
 	}
 }
 

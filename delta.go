@@ -6,7 +6,8 @@
 //
 // The package wraps the internal simulator behind a small facade:
 //
-//	sim := delta.NewSimulator(delta.Config{Cores: 16, Policy: delta.PolicyDelta})
+//	sim, err := delta.New(delta.WithCores(16), delta.WithPolicy(delta.PolicyDelta))
+//	...
 //	sim.SetWorkload(0, delta.Workload{App: "omnetpp"})
 //	...
 //	res := sim.Run()
@@ -36,11 +37,8 @@ import (
 	"sync"
 
 	"delta/internal/bankbw"
-	"delta/internal/carma"
-	"delta/internal/central"
 	"delta/internal/chip"
 	"delta/internal/core"
-	"delta/internal/lfoc"
 	"delta/internal/metrics"
 	"delta/internal/policies"
 	"delta/internal/scenario"
@@ -124,18 +122,6 @@ type Config struct {
 	// the entry matching Policy affects the run, but every entry must name
 	// a registered policy and hold valid JSON.
 	PolicyParams map[string]json.RawMessage
-	// DeltaParams overrides DELTA's knobs when Policy == PolicyDelta;
-	// nil uses Table II defaults scaled by TimeCompression.
-	//
-	// Deprecated: Use WithPolicyParams(PolicyDelta, params). DeltaParams is
-	// consulted only when PolicyParams has no "delta" entry.
-	DeltaParams *core.Params
-	// IdealConfig overrides the centralized policy's knobs when Policy ==
-	// PolicyIdeal; nil uses defaults scaled by TimeCompression.
-	//
-	// Deprecated: Use WithPolicyParams(PolicyIdeal, cfg). IdealConfig is
-	// consulted only when PolicyParams has no "ideal" entry.
-	IdealConfig *central.IdealConfig
 }
 
 // Workload assigns an application to a core. Exactly one of App or Generator
@@ -170,11 +156,6 @@ func (w Workload) Validate() error {
 type Simulator struct {
 	cfg    Config
 	chip   *chip.Chip
-	delta  *core.Delta
-	ideal  *central.Ideal
-	lfoc   *lfoc.Policy
-	carma  *carma.Policy
-	bankbw *bankbw.Policy
 	loaded int
 	ran    bool
 
@@ -196,8 +177,8 @@ type Simulator struct {
 }
 
 // Canonical returns the configuration with every default resolved, exactly
-// as NewSimulator would run it. Two configurations with equal Canonical
-// forms produce bit-identical simulations.
+// as New would run it. Two configurations with equal Canonical forms
+// produce bit-identical simulations.
 func (c Config) Canonical() Config {
 	if c.Cores == 0 {
 		c.Cores = 16
@@ -241,9 +222,7 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 		Seed          uint64
 		// Scenario changes results; omitempty keeps static configurations'
 		// keys byte-identical to earlier releases.
-		Scenario    *Scenario            `json:",omitempty"`
-		DeltaParams *core.Params         `json:",omitempty"`
-		IdealConfig *central.IdealConfig `json:",omitempty"`
+		Scenario *Scenario `json:",omitempty"`
 		// PolicyParams changes results; json.Marshal sorts the map keys, so
 		// equal maps serialize identically, and omitempty keeps param-free
 		// configurations' keys byte-identical to earlier releases.
@@ -258,8 +237,6 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 		Multithreaded:   cc.Multithreaded,
 		Seed:            cc.Seed,
 		Scenario:        cc.Scenario,
-		DeltaParams:     cc.DeltaParams,
-		IdealConfig:     cc.IdealConfig,
 		PolicyParams:    cc.PolicyParams,
 	})
 }
@@ -293,28 +270,7 @@ func (c Config) validate() error {
 	return nil
 }
 
-// NewSimulator builds a simulator, panicking on invalid configuration.
-//
-// Deprecated: Use New with functional options (e.g. New(WithCores(16),
-// WithPolicy(PolicyDelta))), which returns errors instead of panicking.
-func NewSimulator(cfg Config) *Simulator {
-	s, err := newSimulator(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
-// NewSimulatorE builds a simulator, returning an error (instead of
-// panicking) on invalid configuration.
-//
-// Deprecated: Use New(WithConfig(cfg)) or per-field options.
-func NewSimulatorE(cfg Config) (*Simulator, error) {
-	return newSimulator(cfg)
-}
-
-// newSimulator is the single construction path behind New, NewSimulator,
-// NewSimulatorE and Restore.
+// newSimulator is the single construction path behind New and Restore.
 func newSimulator(cfg Config) (*Simulator, error) {
 	cfg = cfg.Canonical()
 	if err := cfg.validate(); err != nil {
@@ -328,57 +284,13 @@ func newSimulator(cfg Config) (*Simulator, error) {
 	ccfg.SampleEvery = cfg.SampleEvery
 	ccfg.Check = cfg.Check
 	s := &Simulator{cfg: cfg, appByCore: make(map[int]snapshot.AppAssignment)}
-	params, err := cfg.policyParams()
+	pol, err := policies.Build(string(cfg.Policy), policies.BuildContext{
+		IntervalScale: cfg.TimeCompression, Params: cfg.PolicyParams[string(cfg.Policy)]})
 	if err != nil {
 		return nil, err
-	}
-	pol, err := policies.Build(string(cfg.Policy),
-		policies.BuildContext{IntervalScale: cfg.TimeCompression, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	// Typed accessors see through the bandwidth regulator to its base.
-	inner := pol
-	if bw, ok := pol.(*bankbw.Policy); ok {
-		s.bankbw = bw
-		inner = bw.Base()
-	}
-	switch p := inner.(type) {
-	case *core.Delta:
-		s.delta = p
-	case *central.Ideal:
-		s.ideal = p
-	case *lfoc.Policy:
-		s.lfoc = p
-	case *carma.Policy:
-		s.carma = p
 	}
 	s.chip = chip.New(ccfg, pol)
 	return s, nil
-}
-
-// policyParams resolves the parameter blob for the selected policy: an
-// explicit PolicyParams entry wins; otherwise the deprecated typed fields
-// marshal to the equivalent full-struct override.
-func (c Config) policyParams() (json.RawMessage, error) {
-	if raw, ok := c.PolicyParams[string(c.Policy)]; ok {
-		return raw, nil
-	}
-	switch {
-	case c.Policy == PolicyDelta && c.DeltaParams != nil:
-		raw, err := json.Marshal(c.DeltaParams)
-		if err != nil {
-			return nil, fmt.Errorf("delta: DeltaParams: %w", err)
-		}
-		return raw, nil
-	case c.Policy == PolicyIdeal && c.IdealConfig != nil:
-		raw, err := json.Marshal(c.IdealConfig)
-		if err != nil {
-			return nil, fmt.Errorf("delta: IdealConfig: %w", err)
-		}
-		return raw, nil
-	}
-	return nil, nil
 }
 
 // sortedParamKeys returns the map's keys in deterministic order.
@@ -473,11 +385,10 @@ func (s *Simulator) LoadMixE(name string) error {
 // SetProcessGroup marks cores as threads of one process (multithreaded mode;
 // DELTA then refuses challenges between them).
 func (s *Simulator) SetProcessGroup(cores []int, pid int) {
-	if s.delta == nil {
-		return
-	}
-	for _, c := range cores {
-		s.delta.SetProcess(c, pid)
+	if d, ok := bankbw.Unwrap(s.Policy()).(*core.Delta); ok {
+		for _, c := range cores {
+			d.SetProcess(c, pid)
+		}
 	}
 }
 
@@ -565,23 +476,10 @@ func (s *Simulator) RunCtx(ctx context.Context) (Result, error) {
 	return res, nil
 }
 
-// Delta exposes the DELTA policy instance (nil for other policies) for
-// allocation introspection.
-func (s *Simulator) Delta() *core.Delta { return s.delta }
-
-// Ideal exposes the centralized policy instance (nil otherwise).
-func (s *Simulator) Ideal() *central.Ideal { return s.ideal }
-
-// LFOC exposes the clustering policy instance (nil otherwise), including
-// when it runs as the bandwidth regulator's base.
-func (s *Simulator) LFOC() *lfoc.Policy { return s.lfoc }
-
-// Carma exposes the auction policy instance (nil otherwise), including when
-// it runs as the bandwidth regulator's base.
-func (s *Simulator) Carma() *carma.Policy { return s.carma }
-
-// BankBW exposes the bandwidth regulator instance (nil otherwise).
-func (s *Simulator) BankBW() *bankbw.Policy { return s.bankbw }
+// Policy returns the partitioning policy instance the simulator runs, for
+// introspection: type-assert it to the concrete policy type (bankbw.Unwrap
+// reaches the policy a bandwidth regulator wraps).
+func (s *Simulator) Policy() Policy { return s.chip.Policy() }
 
 // GeoMeanIPC is the paper's per-workload performance metric: the geometric
 // mean over cores that measured a positive IPC. Cores that retired no

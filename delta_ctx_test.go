@@ -10,7 +10,7 @@ import (
 	"delta/internal/trace"
 )
 
-func TestNewSimulatorEErrors(t *testing.T) {
+func TestNewErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  Config
@@ -22,7 +22,7 @@ func TestNewSimulatorEErrors(t *testing.T) {
 		{"negative cores", Config{Cores: -4}, "power of two"},
 	}
 	for _, tc := range cases {
-		sim, err := NewSimulatorE(tc.cfg)
+		sim, err := New(WithConfig(tc.cfg))
 		if err == nil || sim != nil {
 			t.Fatalf("%s: expected error, got sim=%v err=%v", tc.name, sim, err)
 		}
@@ -30,13 +30,13 @@ func TestNewSimulatorEErrors(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	if sim, err := NewSimulatorE(Config{}); err != nil || sim == nil {
+	if sim, err := New(WithConfig(Config{})); err != nil || sim == nil {
 		t.Fatalf("defaulted config should construct: sim=%v err=%v", sim, err)
 	}
 }
 
 func TestLoadMixEAndSetWorkloadEErrors(t *testing.T) {
-	sim, err := NewSimulatorE(Config{Cores: 16})
+	sim, err := New(WithConfig(Config{Cores: 16}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLoadMixEAndSetWorkloadEErrors(t *testing.T) {
 	}
 
 	// A 4-core chip is a valid mesh but cannot host a 16-slot mix.
-	sim4, err := NewSimulatorE(Config{Cores: 4})
+	sim4, err := New(WithConfig(Config{Cores: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +109,8 @@ func (g *cancellingGen) Next() trace.Access {
 }
 
 func TestRunCtxPreCanceledRunsNothing(t *testing.T) {
-	sim, err := NewSimulatorE(Config{Cores: 16,
-		WarmupInstructions: 10_000, BudgetInstructions: 10_000})
+	sim, err := New(WithConfig(Config{Cores: 16,
+		WarmupInstructions: 10_000, BudgetInstructions: 10_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,8 @@ func TestRunCtxPreCanceledRunsNothing(t *testing.T) {
 
 func TestRunCtxStopsWithinOneQuantum(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sim, err := NewSimulatorE(Config{Cores: 16,
-		WarmupInstructions: 1_000_000, BudgetInstructions: 1_000_000})
+	sim, err := New(WithConfig(Config{Cores: 16,
+		WarmupInstructions: 1_000_000, BudgetInstructions: 1_000_000}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,8 @@ func TestRunCtxStopsWithinOneQuantum(t *testing.T) {
 }
 
 func TestRunCtxNilErrorOnCompletion(t *testing.T) {
-	sim, err := NewSimulatorE(Config{Cores: 16,
-		WarmupInstructions: 10_000, BudgetInstructions: 10_000})
+	sim, err := New(WithConfig(Config{Cores: 16,
+		WarmupInstructions: 10_000, BudgetInstructions: 10_000}))
 	if err != nil {
 		t.Fatal(err)
 	}

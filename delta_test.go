@@ -1,6 +1,10 @@
 package delta
 
-import "testing"
+import (
+	"testing"
+
+	"delta/internal/core"
+)
 
 // allPolicyKinds lists every registered policy as a PolicyKind, so the
 // facade's contract tests (construction, checked runs, snapshot equivalence,
@@ -13,8 +17,18 @@ func allPolicyKinds() []PolicyKind {
 	return out
 }
 
+// newSim builds a simulator from cfg, failing the test on error.
+func newSim(tb testing.TB, cfg Config) *Simulator {
+	tb.Helper()
+	sim, err := New(WithConfig(cfg))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sim
+}
+
 func TestFacadeQuickRun(t *testing.T) {
-	sim := NewSimulator(Config{
+	sim := newSim(t, Config{
 		Cores:              16,
 		Policy:             PolicyDelta,
 		WarmupInstructions: 60_000,
@@ -28,14 +42,14 @@ func TestFacadeQuickRun(t *testing.T) {
 	if g := res.GeoMeanIPC(); g <= 0 || g > 4.1 {
 		t.Fatalf("geomean IPC %v", g)
 	}
-	if sim.Delta() == nil {
-		t.Fatal("delta policy not exposed")
+	if _, ok := sim.Policy().(*core.Delta); !ok {
+		t.Fatalf("delta policy not exposed: %T", sim.Policy())
 	}
 }
 
 func TestFacadePoliciesConstruct(t *testing.T) {
 	for _, p := range allPolicyKinds() {
-		sim := NewSimulator(Config{Cores: 16, Policy: p,
+		sim := newSim(t, Config{Cores: 16, Policy: p,
 			WarmupInstructions: 10_000, BudgetInstructions: 10_000})
 		sim.SetWorkload(0, Workload{App: "omnetpp"})
 		res := sim.Run()
@@ -46,7 +60,7 @@ func TestFacadePoliciesConstruct(t *testing.T) {
 }
 
 func TestFacadeCustomWorkloadByShortCode(t *testing.T) {
-	sim := NewSimulator(Config{Cores: 16,
+	sim := newSim(t, Config{Cores: 16,
 		WarmupInstructions: 10_000, BudgetInstructions: 10_000})
 	sim.SetWorkload(3, Workload{App: "xa"})
 	res := sim.Run()
@@ -67,21 +81,21 @@ func TestFacadeErrors(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("unknown policy", func() {
-		NewSimulator(Config{Cores: 16, Policy: "bogus"})
-	})
+	if _, err := New(WithPolicy("bogus")); err == nil {
+		t.Fatal("unknown policy accepted")
+	}
 	mustPanic("run without workloads", func() {
-		NewSimulator(Config{Cores: 16}).Run()
+		newSim(t, Config{Cores: 16}).Run()
 	})
 	mustPanic("double run", func() {
-		s := NewSimulator(Config{Cores: 16,
+		s := newSim(t, Config{Cores: 16,
 			WarmupInstructions: 5_000, BudgetInstructions: 5_000})
 		s.SetWorkload(0, Workload{App: "povray"})
 		s.Run()
 		s.Run()
 	})
 	mustPanic("empty workload", func() {
-		NewSimulator(Config{Cores: 16}).SetWorkload(0, Workload{})
+		newSim(t, Config{Cores: 16}).SetWorkload(0, Workload{})
 	})
 }
 
@@ -98,7 +112,7 @@ func TestFacade64Cores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("64-core run is slow")
 	}
-	sim := NewSimulator(Config{
+	sim := newSim(t, Config{
 		Cores:              64,
 		Policy:             PolicyDelta,
 		WarmupInstructions: 40_000,
@@ -115,12 +129,9 @@ func TestFacade64Cores(t *testing.T) {
 }
 
 func TestFacadeRejectsNonPow2Cores(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for 36 cores")
-		}
-	}()
-	NewSimulator(Config{Cores: 36})
+	if _, err := New(WithCores(36)); err == nil {
+		t.Fatal("36 cores accepted")
+	}
 }
 
 func TestFacadeCheckedRunAllPolicies(t *testing.T) {
@@ -128,7 +139,7 @@ func TestFacadeCheckedRunAllPolicies(t *testing.T) {
 	// the public API: a violation anywhere in the enforcement path panics the
 	// run.
 	for _, p := range allPolicyKinds() {
-		sim := NewSimulator(Config{Cores: 16, Policy: p, Check: true,
+		sim := newSim(t, Config{Cores: 16, Policy: p, Check: true,
 			WarmupInstructions: 10_000, BudgetInstructions: 20_000})
 		sim.LoadMix("w2")
 		if res := sim.Run(); len(res.Cores) != 16 {

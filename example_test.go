@@ -7,15 +7,14 @@ import (
 	"delta"
 )
 
-// ExampleNewSimulator runs a tiny DELTA simulation on one of the paper's
-// workload mixes and prints stable facts about the outcome.
-func ExampleNewSimulator() {
-	sim := delta.NewSimulator(delta.Config{
-		Cores:              16,
-		Policy:             delta.PolicyDelta,
-		WarmupInstructions: 20_000,
-		BudgetInstructions: 20_000,
-	})
+// ExampleNew runs a tiny DELTA simulation on one of the paper's workload
+// mixes and prints stable facts about the outcome.
+func ExampleNew() {
+	sim, err := delta.New(delta.WithCores(16), delta.WithPolicy(delta.PolicyDelta),
+		delta.WithWarmup(20_000), delta.WithBudget(20_000))
+	if err != nil {
+		panic(err)
+	}
 	sim.LoadMix("w1")
 	res := sim.Run()
 	fmt.Println("cores:", len(res.Cores))

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"delta"
+	"delta/internal/core"
 	"delta/internal/metrics"
 )
 
@@ -52,7 +53,7 @@ func main() {
 	fmt.Println(t.String())
 
 	fmt.Println("DELTA's final allocations (ways across all banks):")
-	d := deltaSim.Delta()
+	d := deltaSim.Policy().(*core.Delta)
 	for _, c := range results[delta.PolicyDelta].Cores {
 		bar := ""
 		for i := 0; i < d.TotalWays(c.Core)/2; i++ {

@@ -8,6 +8,7 @@
 package bankbw
 
 import (
+	"errors"
 	"fmt"
 
 	"delta/internal/cbt"
@@ -35,10 +36,11 @@ type Config struct {
 // DefaultConfig returns the default regulation parameters.
 func DefaultConfig() Config { return Config{} }
 
-// Stats counts the regulator's activity.
+// Stats counts the regulator's activity. The json tags are its snapshot
+// form.
 type Stats struct {
-	Windows   uint64 // regulation windows evaluated
-	Throttled uint64 // core-windows spent throttled
+	Windows   uint64 `json:"windows"`   // regulation windows evaluated
+	Throttled uint64 `json:"throttled"` // core-windows spent throttled
 }
 
 // Policy wraps a base chip.Policy with per-bank bandwidth regulation.
@@ -57,8 +59,23 @@ type Policy struct {
 	Stats Stats
 }
 
-// New wraps base with the regulator. The base must not itself be a
-// regulator: stacking windows would fight over the same throttle.
+// Validate reports a configuration New would reject; zero-valued knobs
+// take their defaults and are valid.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.WindowQuanta < 0:
+		return errors.New("bankbw: WindowQuanta must be positive")
+	case cfg.HeadroomPct != 0 && cfg.HeadroomPct < 100:
+		return errors.New("bankbw: HeadroomPct below 100 throttles under-average banks")
+	case cfg.ThrottlePct < 0 || cfg.ThrottlePct > 100:
+		return errors.New("bankbw: ThrottlePct out of [1,100]")
+	}
+	return nil
+}
+
+// New wraps base with the regulator, panicking on a configuration Validate
+// rejects. The base must not itself be a regulator: stacking windows would
+// fight over the same throttle.
 func New(base chip.Policy, cfg Config) *Policy {
 	if base == nil {
 		panic("bankbw: nil base policy")
@@ -66,23 +83,17 @@ func New(base chip.Policy, cfg Config) *Policy {
 	if _, ok := base.(*Policy); ok {
 		panic("bankbw: cannot wrap another bankbw regulator")
 	}
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if cfg.WindowQuanta == 0 {
 		cfg.WindowQuanta = 4
-	}
-	if cfg.WindowQuanta < 1 {
-		panic("bankbw: WindowQuanta must be positive")
 	}
 	if cfg.HeadroomPct == 0 {
 		cfg.HeadroomPct = 150
 	}
-	if cfg.HeadroomPct < 100 {
-		panic("bankbw: HeadroomPct below 100 throttles under-average banks")
-	}
 	if cfg.ThrottlePct == 0 {
 		cfg.ThrottlePct = 50
-	}
-	if cfg.ThrottlePct < 1 || cfg.ThrottlePct > 100 {
-		panic("bankbw: ThrottlePct out of [1,100]")
 	}
 	if cfg.MinAccesses == 0 {
 		cfg.MinAccesses = 64
@@ -92,6 +103,15 @@ func New(base chip.Policy, cfg Config) *Policy {
 
 // Base returns the wrapped policy.
 func (p *Policy) Base() chip.Policy { return p.base }
+
+// Unwrap returns the policy a regulator wraps, or p itself when p is not a
+// regulator: what introspection type-asserts against.
+func Unwrap(p chip.Policy) chip.Policy {
+	if bw, ok := p.(*Policy); ok {
+		return bw.base
+	}
+	return p
+}
 
 // Name implements chip.Policy.
 func (p *Policy) Name() string { return "bankbw" }

@@ -7,11 +7,21 @@ import (
 	"delta/internal/snapshot"
 )
 
-// SnapshotPolicy implements chip.PolicySnapshotter: the regulator's window
-// state plus the wrapped base's own payload, recursively. A stateless base
-// contributes only its Kind tag, exactly as it would unwrapped. The per-tile
-// throttle the chip enforces is captured with the tiles; the copy here is
-// the regulator's own bookkeeping.
+// state is the regulator's snapshot payload, stored under the "bankbw"
+// key. Base is the wrapped policy's own snapshot, recursively: a stateless
+// base carries only its Kind, exactly as it would unwrapped.
+type state struct {
+	Base         snapshot.Policy `json:"base"`
+	WindowQuanta int             `json:"window_quanta"`
+	Quanta       int             `json:"quanta"` // quanta elapsed in the open window
+	Acc          [][]uint64      `json:"acc"`
+	Throttle     []int           `json:"throttle"`
+	Stats        Stats           `json:"stats"`
+}
+
+// SnapshotPolicy implements chip.PolicySnapshotter. The per-tile throttle
+// the chip enforces is captured with the tiles; the copy here is the
+// regulator's own bookkeeping.
 func (p *Policy) SnapshotPolicy() (*snapshot.Policy, error) {
 	base := &snapshot.Policy{Kind: p.base.Name()}
 	if ps, ok := p.base.(chip.PolicySnapshotter); ok {
@@ -21,30 +31,23 @@ func (p *Policy) SnapshotPolicy() (*snapshot.Policy, error) {
 			return nil, err
 		}
 	}
-	s := &snapshot.BankBWPolicy{
+	return snapshot.NewPolicyState(p.Name(), "bankbw", state{
 		Base:         *base,
 		WindowQuanta: p.cfg.WindowQuanta,
 		Quanta:       p.quanta,
-		Acc:          make([][]uint64, p.n),
-		Throttle:     append([]int(nil), p.throttle...),
-		Stats: snapshot.BankBWStats{
-			Windows:   p.Stats.Windows,
-			Throttled: p.Stats.Throttled,
-		},
-	}
-	for b := 0; b < p.n; b++ {
-		s.Acc[b] = append([]uint64(nil), p.acc[b]...)
-	}
-	return &snapshot.Policy{Kind: p.Name(), BankBW: s}, nil
+		Acc:          p.acc,
+		Throttle:     p.throttle,
+		Stats:        p.Stats,
+	})
 }
 
 // RestorePolicy implements chip.PolicySnapshotter. The chip restores each
 // tile's enforced throttle itself, after this runs.
 func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
-	if s.Kind != p.Name() || s.BankBW == nil {
-		return fmt.Errorf("bankbw: snapshot policy %q does not match %q", s.Kind, p.Name())
+	var st state
+	if err := s.DecodeState("bankbw", &st); err != nil {
+		return fmt.Errorf("bankbw: %w", err)
 	}
-	st := s.BankBW
 	if st.Base.Kind != p.base.Name() {
 		return fmt.Errorf("bankbw: snapshot wraps %q, regulator wraps %q", st.Base.Kind, p.base.Name())
 	}
@@ -52,6 +55,8 @@ func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 		if err := ps.RestorePolicy(&st.Base); err != nil {
 			return err
 		}
+	} else if st.Base.State != nil {
+		return fmt.Errorf("bankbw: snapshot carries state for stateless base %q", st.Base.Kind)
 	}
 	if st.WindowQuanta != p.cfg.WindowQuanta {
 		return fmt.Errorf("bankbw: snapshot window is %d quanta, regulator uses %d", st.WindowQuanta, p.cfg.WindowQuanta)
@@ -72,6 +77,6 @@ func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 		copy(p.acc[b], st.Acc[b])
 	}
 	copy(p.throttle, st.Throttle)
-	p.Stats = Stats{Windows: st.Stats.Windows, Throttled: st.Stats.Throttled}
+	p.Stats = st.Stats
 	return nil
 }

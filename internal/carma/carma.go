@@ -15,6 +15,7 @@
 package carma
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -74,22 +75,32 @@ type Policy struct {
 	Stats Stats
 }
 
-// New builds the policy.
+// Validate reports a configuration New would reject; zero-valued optional
+// knobs take their defaults and are valid. Whether LotWays divides the LLC
+// ways, and whether ReserveLots leaves a lot to auction, depend on the chip
+// and are checked when the policy attaches.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Interval == 0:
+		return errors.New("carma: zero auction interval")
+	case cfg.LotWays < 0:
+		return errors.New("carma: LotWays must be positive")
+	case cfg.ReserveLots < 0:
+		return errors.New("carma: ReserveLots must be non-negative")
+	}
+	return nil
+}
+
+// New builds the policy, panicking on a configuration Validate rejects.
 func New(cfg Config) *Policy {
-	if cfg.Interval == 0 {
-		panic("carma: zero auction interval")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.LotWays == 0 {
 		cfg.LotWays = 4
 	}
-	if cfg.LotWays < 1 {
-		panic("carma: LotWays must be positive")
-	}
 	if cfg.ReserveLots == 0 {
 		cfg.ReserveLots = 1
-	}
-	if cfg.ReserveLots < 0 {
-		panic("carma: ReserveLots must be non-negative")
 	}
 	if cfg.MaxBudget == 0 {
 		cfg.MaxBudget = 100

@@ -8,16 +8,34 @@ import (
 	"delta/internal/snapshot"
 )
 
-// SnapshotPolicy implements chip.PolicySnapshotter. Way masks are derived
-// from the lot-ownership matrix on restore; the tables are captured because
-// their bucket ranges depend on auction history, not just current holdings.
+// state is the policy's snapshot payload, stored under the "carma" key.
+// Per-core allocations and way masks are derived from the lot-ownership
+// matrix on restore; the tables are captured because their bucket ranges
+// depend on auction history, not just current holdings.
+type state struct {
+	TickNext   uint64         `json:"tick_next"`
+	LotOwner   [][]int16      `json:"lot_owner"`
+	BudgetBits []uint64       `json:"budget_bits"`
+	Tables     []snapshot.CBT `json:"tables"`
+	Stats      statsState     `json:"stats"`
+}
+
+// statsState is Stats with the float stored as IEEE-754 bits.
+type statsState struct {
+	Auctions         uint64 `json:"auctions"`
+	LotsTraded       uint64 `json:"lots_traded"`
+	CreditsSpentBits uint64 `json:"credits_spent_bits"`
+	InvalLines       uint64 `json:"inval_lines"`
+}
+
+// SnapshotPolicy implements chip.PolicySnapshotter.
 func (p *Policy) SnapshotPolicy() (*snapshot.Policy, error) {
-	s := &snapshot.CarmaPolicy{
+	s := state{
 		TickNext:   p.tick.Next(),
-		LotOwner:   make([][]int16, p.n),
-		BudgetBits: make([]uint64, p.n),
+		LotOwner:   p.lotOwner,
+		BudgetBits: snapshot.FloatBits(p.budget),
 		Tables:     make([]snapshot.CBT, p.n),
-		Stats: snapshot.CarmaStats{
+		Stats: statsState{
 			Auctions:         p.Stats.Auctions,
 			LotsTraded:       p.Stats.LotsTraded,
 			CreditsSpentBits: math.Float64bits(p.Stats.CreditsSpent),
@@ -25,20 +43,18 @@ func (p *Policy) SnapshotPolicy() (*snapshot.Policy, error) {
 		},
 	}
 	for i := 0; i < p.n; i++ {
-		s.LotOwner[i] = append([]int16(nil), p.lotOwner[i]...)
-		s.BudgetBits[i] = math.Float64bits(p.budget[i])
 		s.Tables[i] = p.tables[i].Snapshot()
 	}
-	return &snapshot.Policy{Kind: p.Name(), Carma: s}, nil
+	return snapshot.NewPolicyState(p.Name(), "carma", s)
 }
 
 // RestorePolicy implements chip.PolicySnapshotter, overwriting the state
 // Attach initialized; the policy self-check revalidates the market.
 func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
-	if s.Kind != p.Name() || s.Carma == nil {
-		return fmt.Errorf("carma: snapshot policy %q does not match %q", s.Kind, p.Name())
+	var st state
+	if err := s.DecodeState("carma", &st); err != nil {
+		return fmt.Errorf("carma: %w", err)
 	}
-	st := s.Carma
 	if len(st.LotOwner) != p.n || len(st.BudgetBits) != p.n || len(st.Tables) != p.n {
 		return fmt.Errorf("carma: snapshot policy state does not cover %d tiles", p.n)
 	}
@@ -63,9 +79,9 @@ func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 	p.tick.Reset(st.TickNext)
 	for i := 0; i < p.n; i++ {
 		copy(p.lotOwner[i], st.LotOwner[i])
-		p.budget[i] = math.Float64frombits(st.BudgetBits[i])
 		p.tables[i] = tables[i]
 	}
+	snapshot.BitsInto(p.budget, st.BudgetBits)
 	p.Stats = Stats{
 		Auctions:     st.Stats.Auctions,
 		LotsTraded:   st.Stats.LotsTraded,

@@ -1,6 +1,7 @@
 package central
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -131,12 +132,13 @@ func DefaultIdealConfig() IdealConfig {
 	return IdealConfig{Interval: 4_000_000, MinWays: 4, LocalityAware: true}
 }
 
-// IdealStats counts the policy's activity.
+// IdealStats counts the policy's activity. The json tags are its snapshot
+// form.
 type IdealStats struct {
-	Epochs      uint64
-	Reallocs    uint64 // epochs where at least one app's allocation changed
-	InvalLines  uint64
-	CollectMsgs uint64 // monitor-collection + broadcast traffic (2N per epoch)
+	Epochs      uint64 `json:"epochs"`
+	Reallocs    uint64 `json:"reallocs"` // epochs where at least one app's allocation changed
+	InvalLines  uint64 `json:"inval_lines"`
+	CollectMsgs uint64 `json:"collect_msgs"` // monitor-collection + broadcast traffic (2N per epoch)
 }
 
 // Ideal is the zero-overhead centralized policy (chip.Policy). It reads all
@@ -183,19 +185,28 @@ type allocStat struct {
 	count uint64
 }
 
-// NewIdeal builds the policy.
-func NewIdeal(cfg IdealConfig) *Ideal {
-	if cfg.Interval == 0 {
-		panic("central: zero reallocation interval")
+// Validate reports a configuration NewIdeal would reject; zero-valued
+// optional knobs take their defaults and are valid.
+func (cfg IdealConfig) Validate() error {
+	switch {
+	case cfg.Interval == 0:
+		return errors.New("central: zero reallocation interval")
+	case cfg.MinWays < 1:
+		return errors.New("central: MinWays must be positive")
+	case cfg.Smoothing < 0 || cfg.Smoothing > 1:
+		return errors.New("central: Smoothing out of (0,1]")
 	}
-	if cfg.MinWays < 1 {
-		panic("central: MinWays must be positive")
+	return nil
+}
+
+// NewIdeal builds the policy, panicking on a configuration Validate
+// rejects.
+func NewIdeal(cfg IdealConfig) *Ideal {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Smoothing == 0 {
 		cfg.Smoothing = 0.3
-	}
-	if cfg.Smoothing < 0 || cfg.Smoothing > 1 {
-		panic("central: Smoothing out of (0,1]")
 	}
 	if cfg.MinChange == 0 {
 		cfg.MinChange = 2

@@ -8,53 +8,49 @@ import (
 	"delta/internal/snapshot"
 )
 
-// SnapshotPolicy implements chip.PolicySnapshotter. masks are derived from
-// the assignment matrix and rebuilt on restore.
+// idealState is Ideal's snapshot payload, stored under the "ideal" key
+// (the policy's Name is "ideal-central"). masks are derived from Assign on
+// restore.
+type idealState struct {
+	TickNext       uint64         `json:"tick_next"`
+	Alloc          []int          `json:"alloc"`
+	Assign         [][]int        `json:"assign"`
+	Tables         []snapshot.CBT `json:"tables"`
+	HasSmooth      bool           `json:"has_smooth"`
+	SmoothBits     [][]uint64     `json:"smooth_bits,omitempty"` // nil rows allowed
+	HistorySumBits []uint64       `json:"history_sum_bits"`
+	HistoryCount   []uint64       `json:"history_count"`
+	Stats          IdealStats     `json:"stats"`
+}
+
+// SnapshotPolicy implements chip.PolicySnapshotter.
 func (p *Ideal) SnapshotPolicy() (*snapshot.Policy, error) {
-	s := &snapshot.IdealPolicy{
+	s := idealState{
 		TickNext:       p.tick.Next(),
-		Alloc:          append([]int(nil), p.alloc...),
-		Assign:         make([][]int, p.n),
+		Alloc:          p.alloc,
+		Assign:         p.assign,
 		Tables:         make([]snapshot.CBT, p.n),
 		HasSmooth:      p.smooth != nil,
+		SmoothBits:     snapshot.MatrixBits(p.smooth),
 		HistorySumBits: make([]uint64, p.n),
 		HistoryCount:   make([]uint64, p.n),
-		Stats: snapshot.IdealStats{
-			Epochs:      p.Stats.Epochs,
-			Reallocs:    p.Stats.Reallocs,
-			InvalLines:  p.Stats.InvalLines,
-			CollectMsgs: p.Stats.CollectMsgs,
-		},
+		Stats:          p.Stats,
 	}
 	for i := 0; i < p.n; i++ {
-		s.Assign[i] = append([]int(nil), p.assign[i]...)
 		s.Tables[i] = p.tables[i].Snapshot()
 		s.HistorySumBits[i] = math.Float64bits(p.history[i].sum)
 		s.HistoryCount[i] = p.history[i].count
 	}
-	if p.smooth != nil {
-		s.SmoothBits = make([][]uint64, p.n)
-		for i, row := range p.smooth {
-			if row == nil {
-				continue
-			}
-			bits := make([]uint64, len(row))
-			for w, f := range row {
-				bits[w] = math.Float64bits(f)
-			}
-			s.SmoothBits[i] = bits
-		}
-	}
-	return &snapshot.Policy{Kind: p.Name(), Ideal: s}, nil
+	return snapshot.NewPolicyState(p.Name(), "ideal", s)
 }
 
 // RestorePolicy implements chip.PolicySnapshotter, overwriting the state
 // Attach initialized; the policy self-check revalidates assign↔masks.
 func (p *Ideal) RestorePolicy(s *snapshot.Policy) error {
-	if s.Kind != p.Name() || s.Ideal == nil {
-		return fmt.Errorf("central: snapshot policy %q does not match %q", s.Kind, p.Name())
+	var st idealState
+	if err := s.DecodeState("ideal", &st); err != nil {
+		return fmt.Errorf("central: %w", err)
 	}
-	st := s.Ideal
 	if len(st.Alloc) != p.n || len(st.Assign) != p.n || len(st.Tables) != p.n ||
 		len(st.HistorySumBits) != p.n || len(st.HistoryCount) != p.n {
 		return fmt.Errorf("central: snapshot policy state does not cover %d tiles", p.n)
@@ -77,22 +73,11 @@ func (p *Ideal) RestorePolicy(s *snapshot.Policy) error {
 		p.tables[i] = tables[i]
 		p.history[i] = allocStat{sum: math.Float64frombits(st.HistorySumBits[i]), count: st.HistoryCount[i]}
 	}
+	p.smooth = nil
 	if st.HasSmooth {
-		p.smooth = make([]MissCurve, p.n)
-		for i := 0; i < p.n && i < len(st.SmoothBits); i++ {
-			bits := st.SmoothBits[i]
-			if bits == nil {
-				continue
-			}
-			row := make(MissCurve, len(bits))
-			for w, b := range bits {
-				row[w] = math.Float64frombits(b)
-			}
-			p.smooth[i] = row
-		}
-	} else {
-		p.smooth = nil
+		p.smooth = snapshot.BitsMatrix[MissCurve](st.SmoothBits, p.n)
 	}
+	p.Stats = st.Stats
 	p.rebuildMasks()
 	return nil
 }

@@ -181,6 +181,8 @@ func (c *Chip) Restore(s *snapshot.Chip) error {
 		if err := ps.RestorePolicy(&s.Policy); err != nil {
 			return err
 		}
+	} else if s.Policy.State != nil {
+		return fmt.Errorf("chip: snapshot carries %q state for stateless policy %s", s.Policy.Key, c.policy.Name())
 	}
 	for i, st := range s.Tiles {
 		t := c.Tiles[i]

@@ -12,16 +12,17 @@ import (
 )
 
 // Stats counts DELTA's activity for the overhead analysis (Section IV-E).
+// The json tags are its snapshot form.
 type Stats struct {
-	ChallengesSent   uint64
-	ChallengesWon    uint64
-	ChallengesFailed uint64
-	GainUpdates      uint64
-	IntraMoves       uint64
-	Expansions       uint64
-	Retreats         uint64
-	IdleGrants       uint64
-	InvalLines       uint64
+	ChallengesSent   uint64 `json:"challenges_sent"`
+	ChallengesWon    uint64 `json:"challenges_won"`
+	ChallengesFailed uint64 `json:"challenges_failed"`
+	GainUpdates      uint64 `json:"gain_updates"`
+	IntraMoves       uint64 `json:"intra_moves"`
+	Expansions       uint64 `json:"expansions"`
+	Retreats         uint64 `json:"retreats"`
+	IdleGrants       uint64 `json:"idle_grants"`
+	InvalLines       uint64 `json:"inval_lines"`
 }
 
 // Delta is the distributed partitioning policy. It implements chip.Policy.
@@ -83,76 +84,6 @@ type Delta struct {
 	// with the chip's recorder.
 	rec    telemetry.Recorder
 	recSet bool
-
-	// Legacy trace (EnableTrace/Events): a bounded ring of the most recent
-	// reconfiguration events. Deprecated in favour of the telemetry
-	// recorder, which carries strictly more information.
-	trace        []Event
-	traceStart   int
-	traceLen     int
-	traceDropped uint64
-	traceOn      bool
-}
-
-// TraceCap bounds the legacy event ring: once full, the oldest event is
-// dropped (and counted) instead of growing the slice without bound.
-const TraceCap = 4096
-
-// Event is one recorded reconfiguration event.
-type Event struct {
-	Cycle uint64
-	Kind  string // "expand", "retreat", "intra"
-	Core  int
-	Bank  int
-	Ways  int
-	Inval int
-	// GainFrom/GainTo are the loser's and winner's gains for intra events;
-	// for expand events GainFrom is the defender's value and GainTo the
-	// challenger's gain.
-	GainFrom, GainTo float64
-}
-
-// EnableTrace turns on legacy event recording into a ring of the most
-// recent TraceCap events.
-//
-// Deprecated: attach a telemetry.Recorder (SetRecorder, or chip.Config.
-// Recorder) instead; it carries every legacy event plus challenge, cede,
-// idle-grant and remap detail.
-func (d *Delta) EnableTrace() { d.traceOn = true }
-
-// Events returns the recorded events, oldest first. With the same
-// parameters, workloads and RNG seed, the returned sequence is identical
-// across runs (TestTraceDeterministicAcrossRuns): events are only appended
-// from the chip's event queue, which orders callbacks by (cycle, schedule
-// sequence).
-//
-// Deprecated: see EnableTrace.
-func (d *Delta) Events() []Event {
-	out := make([]Event, d.traceLen)
-	for i := 0; i < d.traceLen; i++ {
-		out[i] = d.trace[(d.traceStart+i)%len(d.trace)]
-	}
-	return out
-}
-
-// TraceDropped reports how many legacy events the ring evicted.
-func (d *Delta) TraceDropped() uint64 { return d.traceDropped }
-
-func (d *Delta) record(ev Event) {
-	if !d.traceOn {
-		return
-	}
-	if d.trace == nil {
-		d.trace = make([]Event, TraceCap)
-	}
-	if d.traceLen < len(d.trace) {
-		d.trace[(d.traceStart+d.traceLen)%len(d.trace)] = ev
-		d.traceLen++
-		return
-	}
-	d.trace[d.traceStart] = ev
-	d.traceStart = (d.traceStart + 1) % len(d.trace)
-	d.traceDropped++
 }
 
 // SetRecorder attaches a telemetry recorder; nil restores the no-op
@@ -165,9 +96,12 @@ func (d *Delta) SetRecorder(r telemetry.Recorder) {
 	d.recSet = true
 }
 
-// New builds a DELTA policy with the given parameters.
+// New builds a DELTA policy with the given parameters, panicking on
+// parameters Validate rejects.
 func New(p Params) *Delta {
-	p.Validate()
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
+	}
 	return &Delta{p: p, rec: telemetry.Nop{}}
 }
 
@@ -428,7 +362,7 @@ func (d *Delta) handleChallenge(j, challenger int, gain float64, now uint64) {
 			w = room
 		}
 		if w > 0 {
-			d.transferWays(j, j, challenger, w, "chal")
+			d.transferWays(j, j, challenger, w)
 			d.grantedAt[j][challenger] = now
 			d.Stats.IdleGrants++
 			d.rec.Count("core.idle_grants", 1)
@@ -494,7 +428,7 @@ func (d *Delta) handleChallenge(j, challenger int, gain float64, now uint64) {
 		d.respond(j, challenger, false, 0)
 		return
 	}
-	d.transferWays(j, victim, challenger, w, "chal")
+	d.transferWays(j, victim, challenger, w)
 	d.gainDirty[j] = true
 	d.grantedAt[j][challenger] = now
 	d.rec.Count("core.ways_ceded", uint64(w))
@@ -527,7 +461,6 @@ func (d *Delta) handleResponse(i, j int, success bool, ways int) {
 	d.Stats.ChallengesWon++
 	d.Stats.Expansions++
 	d.rec.Count("core.challenges_won", 1)
-	d.record(Event{Cycle: d.c.Now(), Kind: "expand", Core: i, Bank: j, Ways: ways})
 	if !d.c.HasWorkload(i) {
 		// The workload departed while its won response was in flight. The
 		// ways were already transferred at the defender; clearing the gain
@@ -611,14 +544,12 @@ func (d *Delta) intraEpoch(b int, now uint64) {
 	if avail := d.alloc[smallest][b] - floor; w > avail {
 		w = avail
 	}
-	d.transferWays(b, smallest, largest, w, "intra")
+	d.transferWays(b, smallest, largest, w)
 	d.gainDirty[b] = false
 	d.Stats.IntraMoves++
 	d.rec.Count("core.intra_moves", 1)
 	d.rec.Event(telemetry.Event{Cycle: now, Kind: telemetry.KindIntraShift,
 		Core: largest, Peer: smallest, Bank: b, Ways: w,
-		GainFrom: smallestG, GainTo: largestG})
-	d.record(Event{Cycle: now, Kind: "intra", Core: largest, Bank: b, Ways: w,
 		GainFrom: smallestG, GainTo: largestG})
 	// Feedback to the contending home tiles (Algorithm 2 line 6): the new
 	// allocation informs their next pain/gain computation.
@@ -636,7 +567,7 @@ func (d *Delta) intraEpoch(b int, now uint64) {
 // handles a full retreat of the loser. Way moves alone require no
 // invalidation: existing lines stay until the new owner's insertions evict
 // them, exactly as in way-partitioned hardware.
-func (d *Delta) transferWays(bank, from, to, w int, cause string) {
+func (d *Delta) transferWays(bank, from, to, w int) {
 	if w <= 0 || from == to {
 		return
 	}
@@ -659,7 +590,6 @@ func (d *Delta) transferWays(bank, from, to, w int, cause string) {
 		d.rec.Count("core.retreats", 1)
 		d.rec.Event(telemetry.Event{Cycle: d.c.Now(), Kind: telemetry.KindRetreat,
 			Core: from, Bank: bank})
-		d.record(Event{Cycle: d.c.Now(), Kind: "retreat-" + cause, Core: from, Bank: bank})
 		loser, b := from, bank
 		d.cooldownUntil[loser][b] = d.c.Now() +
 			uint64(d.p.RetreatCooldownEpochs)*d.p.InterInterval

@@ -24,7 +24,10 @@
 // chip's bulk-invalidation unit cleans up remapped ranges.
 package core
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Params are DELTA's tuning knobs, with defaults from Table II. Intervals
 // are in cycles (the paper's 1 ms / 0.1 ms at 4 GHz are 4 M / 400 K cycles);
@@ -128,26 +131,27 @@ func (p Params) Scale(f uint64) Params {
 	return p
 }
 
-// Validate panics on inconsistent parameters.
-func (p Params) Validate() {
+// Validate reports inconsistent parameters.
+func (p Params) Validate() error {
 	switch {
 	case p.InterInterval == 0 || p.IntraInterval == 0:
-		panic("core: zero reconfiguration interval")
+		return errors.New("core: zero reconfiguration interval")
 	case p.MinWays < 1:
-		panic("core: MinWays must be at least 1")
+		return errors.New("core: MinWays must be at least 1")
 	case p.InterDeltaWays < 1 || p.IntraDeltaWays < 1:
-		panic("core: way deltas must be positive")
+		return errors.New("core: way deltas must be positive")
 	case p.GainWays < 1 || p.PainWays < 1:
-		panic("core: gain/pain windows must be positive")
+		return errors.New("core: gain/pain windows must be positive")
 	case p.GainThreshold < 0:
-		panic("core: negative gain threshold")
+		return errors.New("core: negative gain threshold")
 	case p.Smoothing <= 0 || p.Smoothing > 1:
-		panic("core: Smoothing out of (0,1]")
+		return errors.New("core: Smoothing out of (0,1]")
 	case p.IntraMargin < 1:
-		panic("core: IntraMargin below 1")
+		return errors.New("core: IntraMargin below 1")
 	case p.ChallengeMargin < 1:
-		panic("core: ChallengeMargin below 1")
+		return errors.New("core: ChallengeMargin below 1")
 	case p.ResidencyIntraEpochs < 0 || p.RetreatCooldownEpochs < 0:
-		panic("core: negative hysteresis epochs")
+		return errors.New("core: negative hysteresis epochs")
 	}
+	return nil
 }

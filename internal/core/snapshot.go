@@ -51,41 +51,60 @@ func (d *Delta) HandleControl(m sim.Msg, now uint64) {
 	}
 }
 
-// SnapshotPolicy implements chip.PolicySnapshotter. The legacy trace ring
-// (EnableTrace) is observability, not simulation state, and is not captured.
+// state is Delta's snapshot payload, stored under the "delta" key. alloc
+// is derived from WayOwner on restore.
+type state struct {
+	WayOwner      [][]int16      `json:"way_owner"`
+	BankOrder     [][]int        `json:"bank_order"`
+	Tables        []snapshot.CBT `json:"tables"`
+	Curves        []curveState   `json:"curves"`
+	MlpBits       []uint64       `json:"mlp_bits"`
+	PainBits      []uint64       `json:"pain_bits"`
+	BankGainBits  [][]uint64     `json:"bank_gain_bits"`
+	Challenged    [][]int        `json:"challenged"` // sorted member lists
+	Pid           []int          `json:"pid"`
+	InterNext     []uint64       `json:"inter_next"` // ticker re-arm cycles
+	IntraNext     []uint64       `json:"intra_next"`
+	GrantedAt     [][]uint64     `json:"granted_at"`
+	CooldownUntil [][]uint64     `json:"cooldown_until"`
+	GainDirty     []bool         `json:"gain_dirty"`
+	MaxTotal      int            `json:"max_total"`
+	Stats         Stats          `json:"stats"`
+}
+
+// curveState is a umon.Curve with floats as IEEE-754 bits. Present
+// distinguishes the pre-first-epoch nil curve from an empty one.
+type curveState struct {
+	Present      bool     `json:"present"`
+	CumHitsBits  []uint64 `json:"cum_hits_bits,omitempty"`
+	Granularity  int      `json:"granularity,omitempty"`
+	MaxWays      int      `json:"max_ways,omitempty"`
+	AccessesBits uint64   `json:"accesses_bits,omitempty"`
+}
+
+// SnapshotPolicy implements chip.PolicySnapshotter.
 func (d *Delta) SnapshotPolicy() (*snapshot.Policy, error) {
-	p := &snapshot.DeltaPolicy{
-		WayOwner:      copy2DInt16(d.wayOwner),
-		BankOrder:     copy2DInt(d.bankOrder),
+	p := state{
+		WayOwner:      d.wayOwner,
+		BankOrder:     d.bankOrder,
 		Tables:        make([]snapshot.CBT, d.n),
-		Curves:        make([]snapshot.Curve, d.n),
-		MlpBits:       floatBits(d.mlp),
-		PainBits:      floatBits(d.pain),
-		BankGainBits:  make([][]uint64, d.n),
+		Curves:        make([]curveState, d.n),
+		MlpBits:       snapshot.FloatBits(d.mlp),
+		PainBits:      snapshot.FloatBits(d.pain),
+		BankGainBits:  snapshot.MatrixBits(d.bankGain),
 		Challenged:    make([][]int, d.n),
-		Pid:           append([]int(nil), d.pid...),
+		Pid:           d.pid,
 		InterNext:     make([]uint64, d.n),
 		IntraNext:     make([]uint64, d.n),
-		GrantedAt:     copy2DUint64(d.grantedAt),
-		CooldownUntil: copy2DUint64(d.cooldownUntil),
-		GainDirty:     append([]bool(nil), d.gainDirty...),
+		GrantedAt:     d.grantedAt,
+		CooldownUntil: d.cooldownUntil,
+		GainDirty:     d.gainDirty,
 		MaxTotal:      d.maxTotal,
-		Stats: snapshot.DeltaStats{
-			ChallengesSent:   d.Stats.ChallengesSent,
-			ChallengesWon:    d.Stats.ChallengesWon,
-			ChallengesFailed: d.Stats.ChallengesFailed,
-			GainUpdates:      d.Stats.GainUpdates,
-			IntraMoves:       d.Stats.IntraMoves,
-			Expansions:       d.Stats.Expansions,
-			Retreats:         d.Stats.Retreats,
-			IdleGrants:       d.Stats.IdleGrants,
-			InvalLines:       d.Stats.InvalLines,
-		},
+		Stats:         d.Stats,
 	}
 	for i := 0; i < d.n; i++ {
 		p.Tables[i] = d.tables[i].Snapshot()
 		p.Curves[i] = snapCurve(d.curve[i])
-		p.BankGainBits[i] = floatBits(d.bankGain[i])
 		members := make([]int, 0, len(d.challenged[i]))
 		for t := range d.challenged[i] {
 			members = append(members, t)
@@ -95,17 +114,17 @@ func (d *Delta) SnapshotPolicy() (*snapshot.Policy, error) {
 		p.InterNext[i] = d.interTick[i].Next()
 		p.IntraNext[i] = d.intraTick[i].Next()
 	}
-	return &snapshot.Policy{Kind: d.Name(), Delta: p}, nil
+	return snapshot.NewPolicyState(d.Name(), "delta", p)
 }
 
 // RestorePolicy implements chip.PolicySnapshotter: it overwrites the state
 // Attach initialized. alloc is recomputed from the restored wayOwner; the
 // policy self-check (CheckInvariants) revalidates the pair afterwards.
 func (d *Delta) RestorePolicy(s *snapshot.Policy) error {
-	if s.Kind != d.Name() || s.Delta == nil {
-		return fmt.Errorf("core: snapshot policy %q does not match %q", s.Kind, d.Name())
+	var p state
+	if err := s.DecodeState("delta", &p); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	p := s.Delta
 	if len(p.WayOwner) != d.n || len(p.BankOrder) != d.n || len(p.Tables) != d.n ||
 		len(p.Curves) != d.n || len(p.MlpBits) != d.n || len(p.PainBits) != d.n ||
 		len(p.BankGainBits) != d.n || len(p.Challenged) != d.n || len(p.Pid) != d.n ||
@@ -148,7 +167,7 @@ func (d *Delta) RestorePolicy(s *snapshot.Policy) error {
 		d.curve[i] = unsnapCurve(p.Curves[i])
 		d.mlp[i] = math.Float64frombits(p.MlpBits[i])
 		d.pain[i] = math.Float64frombits(p.PainBits[i])
-		bitsInto(d.bankGain[i], p.BankGainBits[i])
+		snapshot.BitsInto(d.bankGain[i], p.BankGainBits[i])
 		d.challenged[i] = make(map[int]bool, len(p.Challenged[i]))
 		for _, t := range p.Challenged[i] {
 			d.challenged[i][t] = true
@@ -161,83 +180,33 @@ func (d *Delta) RestorePolicy(s *snapshot.Policy) error {
 		d.gainDirty[i] = p.GainDirty[i]
 	}
 	d.maxTotal = p.MaxTotal
-	d.Stats = Stats{
-		ChallengesSent:   p.Stats.ChallengesSent,
-		ChallengesWon:    p.Stats.ChallengesWon,
-		ChallengesFailed: p.Stats.ChallengesFailed,
-		GainUpdates:      p.Stats.GainUpdates,
-		IntraMoves:       p.Stats.IntraMoves,
-		Expansions:       p.Stats.Expansions,
-		Retreats:         p.Stats.Retreats,
-		IdleGrants:       p.Stats.IdleGrants,
-		InvalLines:       p.Stats.InvalLines,
-	}
+	d.Stats = p.Stats
 	return nil
 }
 
-func snapCurve(c umon.Curve) snapshot.Curve {
+func snapCurve(c umon.Curve) curveState {
 	if c.CumHits == nil {
-		return snapshot.Curve{}
+		return curveState{}
 	}
-	return snapshot.Curve{
+	return curveState{
 		Present:      true,
-		CumHitsBits:  floatBits(c.CumHits),
+		CumHitsBits:  snapshot.FloatBits(c.CumHits),
 		Granularity:  c.Granularity,
 		MaxWays:      c.MaxWays,
 		AccessesBits: math.Float64bits(c.Accesses),
 	}
 }
 
-func unsnapCurve(s snapshot.Curve) umon.Curve {
+func unsnapCurve(s curveState) umon.Curve {
 	if !s.Present {
 		return umon.Curve{}
 	}
 	c := umon.Curve{
-		CumHits:     make([]float64, len(s.CumHitsBits)),
+		CumHits:     make([]float64, len(s.CumHitsBits)), // non-nil: present
 		Granularity: s.Granularity,
 		MaxWays:     s.MaxWays,
 		Accesses:    math.Float64frombits(s.AccessesBits),
 	}
-	bitsInto(c.CumHits, s.CumHitsBits)
+	snapshot.BitsInto(c.CumHits, s.CumHitsBits)
 	return c
-}
-
-func floatBits(fs []float64) []uint64 {
-	out := make([]uint64, len(fs))
-	for i, f := range fs {
-		out[i] = math.Float64bits(f)
-	}
-	return out
-}
-
-func bitsInto(dst []float64, bits []uint64) {
-	for i := range dst {
-		if i < len(bits) {
-			dst[i] = math.Float64frombits(bits[i])
-		}
-	}
-}
-
-func copy2DInt16(src [][]int16) [][]int16 {
-	out := make([][]int16, len(src))
-	for i, row := range src {
-		out[i] = append([]int16(nil), row...)
-	}
-	return out
-}
-
-func copy2DInt(src [][]int) [][]int {
-	out := make([][]int, len(src))
-	for i, row := range src {
-		out[i] = append([]int(nil), row...)
-	}
-	return out
-}
-
-func copy2DUint64(src [][]uint64) [][]uint64 {
-	out := make([][]uint64, len(src))
-	for i, row := range src {
-		out[i] = append([]uint64(nil), row...)
-	}
-	return out
 }

@@ -163,14 +163,6 @@ func (s Scale) RunMix(policy string, mix workloads.Mix, cores int) MixRun {
 // measurements latched so far — campaign drivers treat such runs as aborted.
 func (s Scale) RunMixCtx(ctx context.Context, policy string, mix workloads.Mix, cores int) (MixRun, error) {
 	p := s.NewPolicy(policy)
-	// Introspection sees through the bandwidth regulator to its base.
-	inner := p
-	if bw, ok := p.(*bankbw.Policy); ok {
-		inner = bw.Base()
-	}
-	if d, ok := inner.(*core.Delta); ok {
-		d.EnableTrace()
-	}
 	c := chip.New(s.ChipConfig(cores), p)
 	gens := mix.Generators(cores, s.Seed)
 	for i, g := range gens {
@@ -188,6 +180,8 @@ func (s Scale) RunMixCtx(ctx context.Context, policy string, mix workloads.Mix, 
 		Net:     c.Net.Stats,
 		Chip:    c.Stats,
 	}
+	// Introspection sees through the bandwidth regulator to its base.
+	inner := bankbw.Unwrap(p)
 	if d, ok := inner.(*core.Delta); ok {
 		run.Delta = d
 	}

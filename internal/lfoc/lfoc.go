@@ -17,6 +17,7 @@
 package lfoc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -69,10 +70,10 @@ func DefaultConfig() Config {
 	return Config{Interval: 4_000_000}
 }
 
-// Stats counts the policy's activity.
+// Stats counts the policy's activity. The json tags are its snapshot form.
 type Stats struct {
-	Epochs   uint64
-	Reallocs uint64 // epochs (or membership events) that changed the partition
+	Epochs   uint64 `json:"epochs"`
+	Reallocs uint64 `json:"reallocs"` // epochs (or membership events) that changed the partition
 }
 
 // Policy is the LFOC clustering policy (chip.Policy).
@@ -95,22 +96,30 @@ type Policy struct {
 	Stats Stats
 }
 
-// New builds the policy.
+// Validate reports a configuration New would reject; zero-valued optional
+// knobs take their defaults and are valid.
+func (cfg Config) Validate() error {
+	switch {
+	case cfg.Interval == 0:
+		return errors.New("lfoc: zero reclassification interval")
+	case cfg.Smoothing < 0 || cfg.Smoothing > 1:
+		return errors.New("lfoc: Smoothing out of (0,1]")
+	case cfg.MaxClusters != 0 && cfg.MaxClusters < 2:
+		return errors.New("lfoc: MaxClusters must allow the shared cluster plus one singleton")
+	}
+	return nil
+}
+
+// New builds the policy, panicking on a configuration Validate rejects.
 func New(cfg Config) *Policy {
-	if cfg.Interval == 0 {
-		panic("lfoc: zero reclassification interval")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.Smoothing == 0 {
 		cfg.Smoothing = 0.3
 	}
-	if cfg.Smoothing < 0 || cfg.Smoothing > 1 {
-		panic("lfoc: Smoothing out of (0,1]")
-	}
 	if cfg.MaxClusters == 0 {
 		cfg.MaxClusters = 8
-	}
-	if cfg.MaxClusters < 2 {
-		panic("lfoc: MaxClusters must allow the shared cluster plus one singleton")
 	}
 	if cfg.SharedWays == 0 {
 		cfg.SharedWays = 2

@@ -2,53 +2,45 @@ package lfoc
 
 import (
 	"fmt"
-	"math"
 
 	"delta/internal/snapshot"
 )
 
-// SnapshotPolicy implements chip.PolicySnapshotter. Way masks are derived
-// from the cluster layout on restore; the static all-bank CBT is rebuilt by
-// Attach and never changes, so neither is captured.
+// state is the policy's snapshot payload, stored under the "lfoc" key. Way
+// masks are derived from the cluster layout on restore; the static all-bank
+// CBT is rebuilt by Attach and never changes, so neither is captured.
+type state struct {
+	TickNext    uint64     `json:"tick_next"`
+	ClusterOf   []int      `json:"cluster_of"`
+	ClusterWays []int      `json:"cluster_ways"`
+	Class       []int      `json:"class"`
+	BenefitBits []uint64   `json:"benefit_bits"`
+	HasSmooth   bool       `json:"has_smooth"`
+	SmoothBits  [][]uint64 `json:"smooth_bits,omitempty"` // nil rows allowed
+	Stats       Stats      `json:"stats"`
+}
+
+// SnapshotPolicy implements chip.PolicySnapshotter.
 func (p *Policy) SnapshotPolicy() (*snapshot.Policy, error) {
-	s := &snapshot.LFOCPolicy{
+	return snapshot.NewPolicyState(p.Name(), "lfoc", state{
 		TickNext:    p.tick.Next(),
-		ClusterOf:   append([]int(nil), p.clusterOf...),
-		ClusterWays: append([]int(nil), p.clusterWays...),
-		Class:       append([]int(nil), p.class...),
-		BenefitBits: make([]uint64, p.n),
+		ClusterOf:   p.clusterOf,
+		ClusterWays: p.clusterWays,
+		Class:       p.class,
+		BenefitBits: snapshot.FloatBits(p.benefit),
 		HasSmooth:   p.smooth != nil,
-		Stats: snapshot.LFOCStats{
-			Epochs:   p.Stats.Epochs,
-			Reallocs: p.Stats.Reallocs,
-		},
-	}
-	for i := 0; i < p.n; i++ {
-		s.BenefitBits[i] = math.Float64bits(p.benefit[i])
-	}
-	if p.smooth != nil {
-		s.SmoothBits = make([][]uint64, p.n)
-		for i, row := range p.smooth {
-			if row == nil {
-				continue
-			}
-			bits := make([]uint64, len(row))
-			for w, f := range row {
-				bits[w] = math.Float64bits(f)
-			}
-			s.SmoothBits[i] = bits
-		}
-	}
-	return &snapshot.Policy{Kind: p.Name(), LFOC: s}, nil
+		SmoothBits:  snapshot.MatrixBits(p.smooth),
+		Stats:       p.Stats,
+	})
 }
 
 // RestorePolicy implements chip.PolicySnapshotter, overwriting the state
 // Attach initialized; the policy self-check revalidates the layout.
 func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
-	if s.Kind != p.Name() || s.LFOC == nil {
-		return fmt.Errorf("lfoc: snapshot policy %q does not match %q", s.Kind, p.Name())
+	var st state
+	if err := s.DecodeState("lfoc", &st); err != nil {
+		return fmt.Errorf("lfoc: %w", err)
 	}
-	st := s.LFOC
 	if len(st.ClusterOf) != p.n || len(st.Class) != p.n || len(st.BenefitBits) != p.n {
 		return fmt.Errorf("lfoc: snapshot policy state does not cover %d tiles", p.n)
 	}
@@ -61,29 +53,15 @@ func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 		}
 	}
 	p.tick.Reset(st.TickNext)
-	p.clusterOf = append([]int(nil), st.ClusterOf...)
-	p.clusterWays = append([]int(nil), st.ClusterWays...)
+	p.clusterOf = st.ClusterOf
+	p.clusterWays = st.ClusterWays
 	copy(p.class, st.Class)
-	for i := 0; i < p.n; i++ {
-		p.benefit[i] = math.Float64frombits(st.BenefitBits[i])
-	}
+	snapshot.BitsInto(p.benefit, st.BenefitBits)
+	p.smooth = nil
 	if st.HasSmooth {
-		p.smooth = make([][]float64, p.n)
-		for i := 0; i < p.n && i < len(st.SmoothBits); i++ {
-			bits := st.SmoothBits[i]
-			if bits == nil {
-				continue
-			}
-			row := make([]float64, len(bits))
-			for w, b := range bits {
-				row[w] = math.Float64frombits(b)
-			}
-			p.smooth[i] = row
-		}
-	} else {
-		p.smooth = nil
+		p.smooth = snapshot.BitsMatrix[[]float64](st.SmoothBits, p.n)
 	}
-	p.Stats = Stats{Epochs: st.Stats.Epochs, Reallocs: st.Stats.Reallocs}
+	p.Stats = st.Stats
 	p.rebuildMasks()
 	return nil
 }

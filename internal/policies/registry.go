@@ -6,8 +6,9 @@
 // A builder receives the interval scale (the facade's TimeCompression) and
 // an optional JSON parameter blob. Builders resolve scale-adjusted defaults
 // first and then unmarshal the blob on top, so a full parameter struct
-// overrides everything (the legacy DeltaParams/IdealConfig semantics) while
-// a partial one tweaks individual knobs.
+// overrides everything while a partial one tweaks individual knobs. The
+// built-in builders validate the result and return an error, never panic,
+// on out-of-range parameters.
 package policies
 
 import (
@@ -126,12 +127,18 @@ func init() {
 		if err := unmarshalParams(ctx, "delta", &params); err != nil {
 			return nil, err
 		}
+		if err := params.Validate(); err != nil {
+			return nil, err
+		}
 		return core.New(params), nil
 	})
 	Register("ideal", func(ctx BuildContext) (chip.Policy, error) {
 		cfg := central.DefaultIdealConfig()
 		cfg.Interval = ctx.scale(cfg.Interval)
 		if err := unmarshalParams(ctx, "ideal", &cfg); err != nil {
+			return nil, err
+		}
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 		return central.NewIdeal(cfg), nil
@@ -142,12 +149,18 @@ func init() {
 		if err := unmarshalParams(ctx, "lfoc", &cfg); err != nil {
 			return nil, err
 		}
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 		return lfoc.New(cfg), nil
 	})
 	Register("carma", func(ctx BuildContext) (chip.Policy, error) {
 		cfg := carma.DefaultConfig()
 		cfg.Interval = ctx.scale(cfg.Interval)
 		if err := unmarshalParams(ctx, "carma", &cfg); err != nil {
+			return nil, err
+		}
+		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
 		return carma.New(cfg), nil
@@ -165,6 +178,9 @@ func init() {
 		}
 		if p.Base == "bankbw" {
 			return nil, fmt.Errorf("policies: bankbw cannot wrap itself")
+		}
+		if err := p.Config.Validate(); err != nil {
+			return nil, err
 		}
 		base, err := Build(p.Base, BuildContext{IntervalScale: ctx.IntervalScale, Params: p.BaseParams})
 		if err != nil {

@@ -43,20 +43,6 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Status is a job's lifecycle state.
-//
-// Deprecated: Use JobState.
-type Status = JobState
-
-// Deprecated: Use the StateXxx constants.
-const (
-	StatusQueued   = StateQueued
-	StatusRunning  = StateRunning
-	StatusDone     = StateDone
-	StatusFailed   = StateFailed
-	StatusCanceled = StateCanceled
-)
-
 // SubmitRequest describes one simulation. Exactly one of Mix or Apps selects
 // the workload; zero-valued knobs take the simulator's defaults (policy
 // delta, 16 cores, the paper's compressed warmup/budget windows, seed 1).

@@ -280,6 +280,7 @@ func sizeHint(env *Envelope) int {
 	if env.Chip == nil {
 		return n
 	}
+	n += len(env.Chip.Policy.State)
 	for i := range env.Chip.Tiles {
 		t := &env.Chip.Tiles[i]
 		n += 2 << 10

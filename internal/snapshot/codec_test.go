@@ -52,8 +52,8 @@ func sampleEnvelope() *Envelope {
 			Now:    math.MaxUint64,
 			Tiles:  []Tile{full, sparse},
 			Events: []sim.PendingEvent{{When: 5, Seq: 1, Msg: sim.Msg{Kind: "challenge", A: 1, FBits: 2, Flag: true}}},
-			Policy: Policy{Kind: "lfoc", LFOC: &LFOCPolicy{TickNext: 1, ClusterOf: []int{0, 1},
-				SmoothBits: [][]uint64{nil, {1}}}},
+			Policy: Policy{Kind: "lfoc", Key: "lfoc",
+				State: json.RawMessage(`{"tick_next":1,"cluster_of":[0,1],"smooth_bits":[null,[1]]}`)},
 			NoC:        NoC{Stats: NoCStats{Messages: [3]uint64{1, 2, 3}}, Links: []Link{{A: 0, B: 1, Count: 2}}},
 			Mem:        Mem{Busy: []uint64{1}, Stats: []MemStats{{Requests: 1, QueueDelay: 2}}},
 			Classifier: &Classifier{Pages: []Page{{Page: 7, Owner: -1, Shared: true}}},

@@ -1,13 +1,16 @@
 // Package snapshot defines the versioned, deterministic serialization format
 // for full simulator state: per-tile cache contents and way masks, CBTs,
-// UMON shadow tags, policy state (DELTA or the centralized baselines),
-// core/trace-generator cursors, RNG streams, in-flight control messages, and
-// the quantum clock.
+// UMON shadow tags, policy state, core/trace-generator cursors, RNG streams,
+// in-flight control messages, and the quantum clock.
 //
 // The package holds only *format* types plus Encode/Decode; every simulated
 // component implements its own Snapshot/Restore against the mirror type
 // defined here, so this package never imports the packages it describes
-// (only internal/sim, for the reified control-message type).
+// (only internal/sim, for the reified control-message type). Policy state is
+// the exception: each policy package owns its payload type and marshals it
+// itself, and Policy frames the payload under the policy's key
+// (NewPolicyState, DecodeState), so adding a policy never touches this
+// package.
 //
 // Determinism: the wire form is what Go's encoding/json marshals (struct
 // fields in declaration order, no maps), so encoding the same state twice
@@ -28,6 +31,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"sort"
+	"strings"
 
 	"delta/internal/sim"
 )
@@ -243,137 +249,131 @@ type Gen struct {
 }
 
 // Policy is the partitioning policy's state. Kind is the policy's Name();
-// exactly one of the payload pointers is set for stateful policies, none for
-// the stateless S-NUCA/private baselines.
+// a stateful policy stores its own payload, State, under Key (the policy
+// package owns the payload's type and marshals it itself). Stateless
+// policies (S-NUCA, private) carry only Kind. Build a payload with
+// NewPolicyState and read it back with DecodeState.
+//
+// The wire form is {"kind":Kind}, or {"kind":Kind,"<Key>":State} when State
+// is set. Key need not equal Kind: the centralized policy is Kind
+// "ideal-central" with its payload under "ideal".
 type Policy struct {
-	Kind   string        `json:"kind"`
-	Delta  *DeltaPolicy  `json:"delta,omitempty"`
-	Ideal  *IdealPolicy  `json:"ideal,omitempty"`
-	LFOC   *LFOCPolicy   `json:"lfoc,omitempty"`
-	Carma  *CarmaPolicy  `json:"carma,omitempty"`
-	BankBW *BankBWPolicy `json:"bankbw,omitempty"`
+	Kind  string
+	Key   string
+	State json.RawMessage
 }
 
-// LFOCPolicy mirrors lfoc.Policy's mutable state. Way masks are derived from
-// the cluster assignment on restore; the static all-bank CBT is rebuilt by
-// Attach.
-type LFOCPolicy struct {
-	TickNext    uint64     `json:"tick_next"`
-	ClusterOf   []int      `json:"cluster_of"`
-	ClusterWays []int      `json:"cluster_ways"`
-	Class       []int      `json:"class"`
-	BenefitBits []uint64   `json:"benefit_bits"`
-	HasSmooth   bool       `json:"has_smooth"`
-	SmoothBits  [][]uint64 `json:"smooth_bits,omitempty"` // nil rows allowed
-	Stats       LFOCStats  `json:"stats"`
+// NewPolicyState marshals v as the payload of a kind policy under key.
+func NewPolicyState(kind, key string, v any) (*Policy, error) {
+	state, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %s policy state: %w", kind, err)
+	}
+	return &Policy{Kind: kind, Key: key, State: state}, nil
 }
 
-// LFOCStats mirrors lfoc.Stats.
-type LFOCStats struct {
-	Epochs   uint64 `json:"epochs"`
-	Reallocs uint64 `json:"reallocs"`
+// DecodeState unmarshals the payload stored under key into v. It fails when
+// the snapshot carries no payload or carries it under another key.
+func (p *Policy) DecodeState(key string, v any) error {
+	if p.State == nil || p.Key != key {
+		return fmt.Errorf("snapshot: policy %q has no %q state", p.Kind, key)
+	}
+	if err := json.Unmarshal(p.State, v); err != nil {
+		return fmt.Errorf("snapshot: policy %q state: %w", p.Kind, err)
+	}
+	return nil
 }
 
-// CarmaPolicy mirrors carma.Policy's mutable state. Per-core allocations and
-// way masks are derived from the lot-ownership matrix on restore.
-type CarmaPolicy struct {
-	TickNext   uint64     `json:"tick_next"`
-	LotOwner   [][]int16  `json:"lot_owner"`
-	BudgetBits []uint64   `json:"budget_bits"`
-	Tables     []CBT      `json:"tables"`
-	Stats      CarmaStats `json:"stats"`
+// MarshalJSON implements json.Marshaler with the wire form above.
+func (p Policy) MarshalJSON() ([]byte, error) {
+	kind, _ := json.Marshal(p.Kind) // marshaling a string cannot fail
+	b := append([]byte(`{"kind":`), kind...)
+	if p.State != nil {
+		if p.Key == "" {
+			return nil, fmt.Errorf("snapshot: policy %q has state but no key", p.Kind)
+		}
+		key, _ := json.Marshal(p.Key)
+		b = append(append(append(b, ','), key...), ':')
+		b = append(b, p.State...)
+	}
+	return append(b, '}'), nil
 }
 
-// CarmaStats mirrors carma.Stats.
-type CarmaStats struct {
-	Auctions         uint64 `json:"auctions"`
-	LotsTraded       uint64 `json:"lots_traded"`
-	CreditsSpentBits uint64 `json:"credits_spent_bits"`
-	InvalLines       uint64 `json:"inval_lines"`
+// UnmarshalJSON implements json.Unmarshaler: an object holding "kind" plus
+// at most one payload key. A null payload counts as absent.
+func (p *Policy) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		return nil
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return err
+	}
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		if k != "kind" {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) > 1 {
+		sort.Strings(keys)
+		return fmt.Errorf("snapshot: policy has %d payloads (%s), want at most one", len(keys), strings.Join(keys, ", "))
+	}
+	*p = Policy{}
+	if raw, ok := fields["kind"]; ok {
+		if err := json.Unmarshal(raw, &p.Kind); err != nil {
+			return err
+		}
+	}
+	if len(keys) == 1 && string(fields[keys[0]]) != "null" {
+		p.Key, p.State = keys[0], fields[keys[0]]
+	}
+	return nil
 }
 
-// BankBWPolicy mirrors bankbw.Policy's mutable state, including the wrapped
-// base policy's payload (recursive; stateless bases carry only their Kind).
-type BankBWPolicy struct {
-	Base         Policy      `json:"base"`
-	WindowQuanta int         `json:"window_quanta"`
-	Quanta       int         `json:"quanta"` // quanta elapsed in the open window
-	Acc          [][]uint64  `json:"acc"`
-	Throttle     []int       `json:"throttle"`
-	Stats        BankBWStats `json:"stats"`
+// FloatBits returns fs as IEEE-754 bit patterns; nil stays nil.
+func FloatBits(fs []float64) []uint64 {
+	if fs == nil {
+		return nil
+	}
+	out := make([]uint64, len(fs))
+	for i, f := range fs {
+		out[i] = math.Float64bits(f)
+	}
+	return out
 }
 
-// BankBWStats mirrors bankbw.Stats.
-type BankBWStats struct {
-	Windows   uint64 `json:"windows"`
-	Throttled uint64 `json:"throttled"`
+// BitsInto overwrites dst with the floats whose bit patterns are bits,
+// stopping at the shorter of the two.
+func BitsInto(dst []float64, bits []uint64) {
+	for i := range min(len(dst), len(bits)) {
+		dst[i] = math.Float64frombits(bits[i])
+	}
 }
 
-// DeltaPolicy mirrors core.Delta's mutable state. alloc is derived from
-// WayOwner on restore; the legacy trace ring is observability and is not
-// captured.
-type DeltaPolicy struct {
-	WayOwner      [][]int16  `json:"way_owner"`
-	BankOrder     [][]int    `json:"bank_order"`
-	Tables        []CBT      `json:"tables"`
-	Curves        []Curve    `json:"curves"`
-	MlpBits       []uint64   `json:"mlp_bits"`
-	PainBits      []uint64   `json:"pain_bits"`
-	BankGainBits  [][]uint64 `json:"bank_gain_bits"`
-	Challenged    [][]int    `json:"challenged"` // sorted member lists
-	Pid           []int      `json:"pid"`
-	InterNext     []uint64   `json:"inter_next"` // ticker re-arm cycles
-	IntraNext     []uint64   `json:"intra_next"`
-	GrantedAt     [][]uint64 `json:"granted_at"`
-	CooldownUntil [][]uint64 `json:"cooldown_until"`
-	GainDirty     []bool     `json:"gain_dirty"`
-	MaxTotal      int        `json:"max_total"`
-	Stats         DeltaStats `json:"stats"`
+// MatrixBits is FloatBits row by row; nil rows stay nil.
+func MatrixBits[T ~[]float64](rows []T) [][]uint64 {
+	if rows == nil {
+		return nil
+	}
+	out := make([][]uint64, len(rows))
+	for i, row := range rows {
+		out[i] = FloatBits(row)
+	}
+	return out
 }
 
-// DeltaStats mirrors core.Stats.
-type DeltaStats struct {
-	ChallengesSent   uint64 `json:"challenges_sent"`
-	ChallengesWon    uint64 `json:"challenges_won"`
-	ChallengesFailed uint64 `json:"challenges_failed"`
-	GainUpdates      uint64 `json:"gain_updates"`
-	IntraMoves       uint64 `json:"intra_moves"`
-	Expansions       uint64 `json:"expansions"`
-	Retreats         uint64 `json:"retreats"`
-	IdleGrants       uint64 `json:"idle_grants"`
-	InvalLines       uint64 `json:"inval_lines"`
-}
-
-// Curve mirrors umon.Curve. Present distinguishes the pre-first-epoch nil
-// curve from an empty one.
-type Curve struct {
-	Present      bool     `json:"present"`
-	CumHitsBits  []uint64 `json:"cum_hits_bits,omitempty"`
-	Granularity  int      `json:"granularity,omitempty"`
-	MaxWays      int      `json:"max_ways,omitempty"`
-	AccessesBits uint64   `json:"accesses_bits,omitempty"`
-}
-
-// IdealPolicy mirrors central.Ideal's mutable state. masks are derived from
-// Assign on restore.
-type IdealPolicy struct {
-	TickNext       uint64     `json:"tick_next"`
-	Alloc          []int      `json:"alloc"`
-	Assign         [][]int    `json:"assign"`
-	Tables         []CBT      `json:"tables"`
-	HasSmooth      bool       `json:"has_smooth"`
-	SmoothBits     [][]uint64 `json:"smooth_bits,omitempty"` // nil rows allowed
-	HistorySumBits []uint64   `json:"history_sum_bits"`
-	HistoryCount   []uint64   `json:"history_count"`
-	Stats          IdealStats `json:"stats"`
-}
-
-// IdealStats mirrors central.IdealStats.
-type IdealStats struct {
-	Epochs      uint64 `json:"epochs"`
-	Reallocs    uint64 `json:"reallocs"`
-	InvalLines  uint64 `json:"inval_lines"`
-	CollectMsgs uint64 `json:"collect_msgs"`
+// BitsMatrix inverts MatrixBits into n rows. Nil rows, and rows beyond
+// len(bits), stay nil.
+func BitsMatrix[T ~[]float64](bits [][]uint64, n int) []T {
+	out := make([]T, n)
+	for i := range min(n, len(bits)) {
+		if bits[i] != nil {
+			out[i] = make(T, len(bits[i]))
+			BitsInto(out[i], bits[i])
+		}
+	}
+	return out
 }
 
 // CBT is a cluster bank table in range form; the dense bucket array is

@@ -1,11 +1,6 @@
 package delta
 
-import (
-	"encoding/json"
-
-	"delta/internal/central"
-	"delta/internal/core"
-)
+import "encoding/json"
 
 // Option configures a Simulator built by New. Options apply in order over a
 // zero Config, so later options win and New() alone yields the canonical
@@ -144,21 +139,4 @@ func WithPolicyParams(name PolicyKind, params any) Option {
 		}
 		c.PolicyParams[string(name)] = raw
 	}
-}
-
-// WithDeltaParams overrides DELTA's knobs (PolicyDelta only).
-//
-// Deprecated: Use WithPolicyParams(PolicyDelta, p), which works uniformly
-// across registered policies.
-func WithDeltaParams(p core.Params) Option {
-	return func(c *Config) { c.DeltaParams = &p }
-}
-
-// WithIdealConfig overrides the centralized policy's knobs (PolicyIdeal
-// only).
-//
-// Deprecated: Use WithPolicyParams(PolicyIdeal, ic), which works uniformly
-// across registered policies.
-func WithIdealConfig(ic central.IdealConfig) Option {
-	return func(c *Config) { c.IdealConfig = &ic }
 }

@@ -33,9 +33,8 @@ type PolicyBuilder = policies.Builder
 // experiments campaigns. It panics on an empty or duplicate name — call it
 // from an init function.
 //
-// Registered policies build and run, but Snapshot support for third-party
-// policies additionally requires implementing chip.PolicySnapshotter, and
-// their state must fit the snapshot schema's policy envelope.
+// Registered policies build and run; Snapshot support for third-party
+// policies additionally requires implementing chip.PolicySnapshotter.
 func RegisterPolicy(name string, builder PolicyBuilder) {
 	policies.Register(name, builder)
 }

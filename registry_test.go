@@ -90,8 +90,8 @@ func TestPolicyParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := sim.LFOC(); p == nil {
-		t.Fatal("lfoc policy not exposed")
+	if p, ok := sim.Policy().(*lfoc.Policy); !ok {
+		t.Fatalf("lfoc policy not exposed: %T", sim.Policy())
 	} else if got := p.Config().MaxClusters; got != 3 {
 		t.Fatalf("MaxClusters = %d, want 3", got)
 	}
@@ -102,8 +102,8 @@ func TestPolicyParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := sim.Carma(); p == nil {
-		t.Fatal("carma policy not exposed")
+	if p, ok := sim.Policy().(*carma.Policy); !ok {
+		t.Fatalf("carma policy not exposed: %T", sim.Policy())
 	} else if got := p.Config().MaxBudget; got != 42 {
 		t.Fatalf("MaxBudget = %v, want 42", got)
 	}
@@ -115,9 +115,9 @@ func TestPolicyParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw := sim.BankBW()
-	if bw == nil {
-		t.Fatal("bankbw policy not exposed")
+	bw, ok := sim.Policy().(*bankbw.Policy)
+	if !ok {
+		t.Fatalf("bankbw policy not exposed: %T", sim.Policy())
 	}
 	if got := bw.Config().WindowQuanta; got != 7 {
 		t.Fatalf("WindowQuanta = %d, want 7", got)
@@ -125,8 +125,8 @@ func TestPolicyParamsRoundTrip(t *testing.T) {
 	if got := bw.Base().Name(); got != "delta" {
 		t.Fatalf("bankbw base = %q, want delta", got)
 	}
-	if sim.Delta() == nil {
-		t.Fatal("bankbw's delta base not exposed through Simulator.Delta")
+	if _, ok := bankbw.Unwrap(sim.Policy()).(*core.Delta); !ok {
+		t.Fatal("bankbw's delta base not reachable through bankbw.Unwrap")
 	}
 
 	if _, err := New(WithCores(16), WithPolicy(PolicyBankBW),
@@ -149,24 +149,26 @@ func TestPolicyParamsInvalidRejected(t *testing.T) {
 	}
 }
 
-// TestDeprecatedParamWrappers: the legacy typed overrides still work and are
-// equivalent to the uniform WithPolicyParams path.
-func TestDeprecatedParamWrappers(t *testing.T) {
-	p := core.DefaultParams()
-	p.MaxTotalWays = 24
-	a, err := New(WithCores(16), WithPolicy(PolicyDelta),
-		WithWarmup(5_000), WithBudget(5_000), WithDeltaParams(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(WithCores(16), WithPolicy(PolicyDelta),
-		WithWarmup(5_000), WithBudget(5_000), WithPolicyParams(PolicyDelta, p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Delta().Params() != b.Delta().Params() {
-		t.Fatalf("legacy WithDeltaParams diverged from WithPolicyParams:\n%+v\n%+v",
-			a.Delta().Params(), b.Delta().Params())
+// TestPolicyParamsOutOfRangeRejected: parameters a policy constructor
+// would panic on surface as errors from New, for every policy whose
+// builder validates.
+func TestPolicyParamsOutOfRangeRejected(t *testing.T) {
+	for _, tc := range []struct {
+		policy PolicyKind
+		params any
+		want   string
+	}{
+		{PolicyDelta, map[string]int{"MinWays": 0}, "MinWays"},
+		{PolicyIdeal, map[string]int{"MinWays": 0}, "MinWays"},
+		{PolicyLFOC, map[string]int{"MaxClusters": 1}, "MaxClusters"},
+		{PolicyCARMA, map[string]int{"LotWays": -1}, "LotWays"},
+		{PolicyBankBW, map[string]int{"ThrottlePct": 101}, "ThrottlePct"},
+		{PolicyBankBW, map[string]any{"Base": "delta", "BaseParams": map[string]int{"MinWays": 0}}, "MinWays"},
+	} {
+		_, err := New(WithCores(16), WithPolicy(tc.policy), WithPolicyParams(tc.policy, tc.params))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s %v: err = %v, want an error mentioning %s", tc.policy, tc.params, err, tc.want)
+		}
 	}
 }
 

@@ -1,13 +1,12 @@
 package delta
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
-	"delta/internal/central"
-	"delta/internal/core"
 	"delta/internal/snapshot"
 	"delta/internal/workloads"
 )
@@ -39,7 +38,8 @@ func (sn *Snapshot) Encode() ([]byte, error) {
 }
 
 // DecodeSnapshot parses bytes produced by Encode, rejecting other schema
-// versions with an error wrapping ErrSnapshotVersion.
+// versions with an error wrapping ErrSnapshotVersion, and configurations
+// carrying keys this build does not know.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	env, err := snapshot.Decode(data)
 	if err != nil {
@@ -50,6 +50,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	}
 	if len(env.Config) == 0 {
 		return nil, errors.New("delta: snapshot has no configuration")
+	}
+	if _, err := configFromCanonicalJSON(env.Config); err != nil {
+		return nil, err
 	}
 	return &Snapshot{env: env}, nil
 }
@@ -222,7 +225,10 @@ func Restore(sn *Snapshot, opts ...Option) (*Simulator, error) {
 	return s, nil
 }
 
-// configFromCanonicalJSON inverts Config.CanonicalJSON.
+// configFromCanonicalJSON inverts Config.CanonicalJSON. It rejects keys
+// this build does not write (such as the removed DeltaParams and
+// IdealConfig), which would otherwise be dropped and the snapshot resumed
+// under a different configuration than the one that wrote it.
 func configFromCanonicalJSON(data []byte) (Config, error) {
 	var cc struct {
 		Cores           int
@@ -234,11 +240,11 @@ func configFromCanonicalJSON(data []byte) (Config, error) {
 		Multithreaded   bool
 		Seed            uint64
 		Scenario        *Scenario
-		DeltaParams     *core.Params
-		IdealConfig     *central.IdealConfig
 		PolicyParams    map[string]json.RawMessage
 	}
-	if err := json.Unmarshal(data, &cc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cc); err != nil {
 		return Config{}, fmt.Errorf("delta: snapshot config: %w", err)
 	}
 	return Config{
@@ -251,8 +257,6 @@ func configFromCanonicalJSON(data []byte) (Config, error) {
 		Multithreaded:      cc.Multithreaded,
 		Seed:               cc.Seed,
 		Scenario:           cc.Scenario,
-		DeltaParams:        cc.DeltaParams,
-		IdealConfig:        cc.IdealConfig,
 		PolicyParams:       cc.PolicyParams,
 	}, nil
 }

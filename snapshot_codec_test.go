@@ -276,9 +276,10 @@ func shrinkEnvelope(env *snapshot.Envelope) *snapshot.Envelope {
 // FuzzDecodeSnapshot: on arbitrary bytes Decode never panics, accepts or
 // rejects exactly what encoding/json does, and decodes the same value; the
 // canonical parser alone never accepts what json.Unmarshal would decode
-// differently. Seeds: the golden snapshot and a churn checkpoint taken after
-// the first departure, both shrunk so mutation stays fast (their full-size
-// forms are checked by TestSnapshotCodecDifferential).
+// differently. Seeds: the golden snapshot and churn checkpoints taken after
+// the first departure under lfoc and under bankbw over delta (a nested
+// policy payload), all shrunk to two tiles so mutation stays fast (their
+// full-size forms are checked by TestSnapshotCodecDifferential).
 func FuzzDecodeSnapshot(f *testing.F) {
 	data, err := os.ReadFile(filepath.Join("testdata", "golden_snapshot_v1.json"))
 	if err != nil {
@@ -288,13 +289,20 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sim := churnSim(f, PolicyKind("lfoc"), WithSnapshotEvery(0))
-	runToBoundary(f, sim, 12)
-	churn, err := sim.Snapshot()
-	if err != nil {
-		f.Fatal(err)
+	seeds := []*snapshot.Envelope{golden}
+	for _, opts := range [][]Option{
+		{WithPolicy(PolicyLFOC)},
+		{WithPolicy(PolicyBankBW), WithPolicyParams(PolicyBankBW, map[string]string{"Base": "delta"})},
+	} {
+		sim := churnSim(f, PolicyLFOC, append(opts, WithSnapshotEvery(0))...)
+		runToBoundary(f, sim, 12)
+		churn, err := sim.Snapshot()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, churn.env)
 	}
-	for _, env := range []*snapshot.Envelope{golden, churn.env} {
+	for _, env := range seeds {
 		data, err := snapshot.Encode(shrinkEnvelope(env))
 		if err != nil {
 			f.Fatal(err)

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"delta/internal/server/api"
+	"delta/internal/snapshot"
 	"delta/internal/trace"
 )
 
@@ -216,6 +218,73 @@ func TestRestoreRejectsMismatches(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsRemovedConfigKeys: a snapshot whose configuration
+// carries the removed DeltaParams/IdealConfig overrides is rejected when
+// decoded (the checkpoint-upload validation) and when restored, instead of
+// resuming under default parameters.
+func TestRestoreRejectsRemovedConfigKeys(t *testing.T) {
+	sim := newTestSim(t, PolicyDelta)
+	sim.SetWorkload(0, Workload{App: "mcf"})
+	snap, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"DeltaParams", "IdealConfig"} {
+		env := *snap.env
+		env.Config = append(bytes.TrimSuffix(bytes.Clone(env.Config), []byte("}")),
+			`,"`+key+`":{"MinWays":2}}`...)
+		if _, err := Restore(&Snapshot{env: &env}); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("Restore with %s: err = %v", key, err)
+		}
+		data, err := snapshot.Encode(&env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("DecodeSnapshot with %s: err = %v", key, err)
+		}
+	}
+}
+
+// TestRestoreRejectsMisplacedPolicyPayload: a policy payload must sit under
+// its own policy's key. A payload under another policy's key, a stateful
+// policy without one, and a stateless policy with one all fail to restore.
+func TestRestoreRejectsMisplacedPolicyPayload(t *testing.T) {
+	capture := func(pol PolicyKind) *Snapshot {
+		sim := newTestSim(t, pol)
+		sim.SetWorkload(0, Workload{App: "mcf"})
+		snap, err := sim.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	withPolicy := func(sn *Snapshot, p snapshot.Policy) *Snapshot {
+		c := *sn.env.Chip
+		c.Policy = p
+		env := *sn.env
+		env.Chip = &c
+		return &Snapshot{env: &env}
+	}
+	delta := capture(PolicyDelta)
+	if _, err := Restore(delta); err != nil {
+		t.Fatalf("unmodified delta snapshot: %v", err)
+	}
+	state := delta.env.Chip.Policy.State
+	for name, p := range map[string]snapshot.Policy{
+		"under ideal's key": {Kind: "delta", Key: "ideal", State: state},
+		"missing":           {Kind: "delta"},
+	} {
+		if _, err := Restore(withPolicy(delta, p)); err == nil {
+			t.Errorf("delta payload %s: restore succeeded", name)
+		}
+	}
+	snuca := capture(PolicySnuca)
+	if _, err := Restore(withPolicy(snuca, snapshot.Policy{Kind: "snuca", Key: "delta", State: state})); err == nil {
+		t.Error("stateless policy with a payload: restore succeeded")
+	}
+}
+
 // TestResultJSONRoundTrip: the wire Result must round-trip byte-equal, with
 // no NaN leaking from idle cores (satellite: stable cached-result compare).
 func TestResultJSONRoundTrip(t *testing.T) {
@@ -252,30 +321,6 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("Result JSON round trip not byte-stable\n a %s\n b %s", a, b)
-	}
-}
-
-// TestDeprecatedConstructorsMatchNew: the legacy constructors are thin
-// wrappers and must build identical simulators.
-func TestDeprecatedConstructorsMatchNew(t *testing.T) {
-	run := func(sim *Simulator) string {
-		sim.LoadMix("w1")
-		if _, err := sim.RunCtx(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return sim.Fingerprint()
-	}
-	cfg := Config{Cores: 16, Policy: PolicyDelta, WarmupInstructions: 2000, BudgetInstructions: 40000, Seed: 3}
-	legacy, err := NewSimulatorE(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := New(WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := run(legacy), run(modern); a != b {
-		t.Fatalf("NewSimulatorE and New diverge:\n %s\n %s", a, b)
 	}
 }
 
