@@ -236,39 +236,38 @@ func BenchmarkColumnarSinkOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkCampaign measures the parallel campaign engine: one fixed 8-job
+// BenchmarkCampaign measures the parallel campaign engine: one fixed 8-run
 // campaign (snuca + delta over four mixes, the independent unit the figure
-// drivers fan out) at 1, 4 and 8 workers. The wall-clock ratio between the
-// workers=1 and workers=4 sub-benchmarks is the speedup bench_results.txt
-// records; results are bit-identical at every worker count.
+// drivers fan out) prefetched into a fresh Suite at 1, 4 and 8 workers. The
+// wall-clock ratio between the workers=1 and workers=4 sub-benchmarks is the
+// speedup bench_results.txt records; results are bit-identical at every
+// worker count.
 func BenchmarkCampaign(b *testing.B) {
-	jobs := experiments.CrossJobs(
-		[]string{"snuca", "delta"}, []string{"w2", "w5", "w6", "w13"}, 16)
+	policies := []string{"snuca", "delta"}
+	mixes := []string{"w2", "w5", "w6", "w13"}
+	campaign := func(b *testing.B, sc experiments.Scale) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			experiments.NewSuite(sc, 16).Prefetch(policies, mixes)
+		}
+	}
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sc := benchScale()
 			sc.Workers = workers
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				experiments.Runner{Workers: workers}.Run(sc, jobs)
-			}
+			campaign(b, sc)
 		})
 	}
 	// The same sweep with analytical fast-forward replacing the simulated
 	// warmup — the campaign configuration delta-bench exposes via
 	// -fastforward. The gap against workers=N above is the warmup share of
 	// campaign wall-clock.
-	for _, workers := range []int{4} {
-		b.Run(fmt.Sprintf("fastforward/workers=%d", workers), func(b *testing.B) {
-			sc := benchScale()
-			sc.Workers = workers
-			sc.FastForward = true
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				experiments.Runner{Workers: workers}.Run(sc, jobs)
-			}
-		})
-	}
+	b.Run("fastforward/workers=4", func(b *testing.B) {
+		sc := benchScale()
+		sc.Workers = 4
+		sc.FastForward = true
+		campaign(b, sc)
+	})
 }
 
 // BenchmarkOverheadsControlTraffic measures the run behind the Section

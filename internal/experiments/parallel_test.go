@@ -51,31 +51,36 @@ func comparableRun(r MixRun) MixRun {
 }
 
 // TestRunnerDeterminism is the engine's core guarantee: a parallel campaign
-// is bit-identical to a sequential one, job for job. The parallel leg also
-// carries a shared recorder, so -race exercises the FanIn path.
+// is bit-identical to a sequential one, run for run. The parallel leg also
+// carries a shared JSONL recorder, which the suite wraps in a FanIn, so
+// -race exercises the concurrent telemetry path.
 func TestRunnerDeterminism(t *testing.T) {
 	sc := tinyScale()
 	sc.Warmup = 30_000
 	sc.Budget = 25_000
-	jobs := CrossJobs([]string{"snuca", "delta"}, []string{"w2", "w6"}, 16)
+	policies, mixes := []string{"snuca", "delta"}, []string{"w2", "w6"}
 
-	seq := Runner{Workers: 1}.Run(sc, jobs)
+	seq := NewSuite(sc, 16)
+	seq.Prefetch(policies, mixes)
 
 	psc := sc
 	var buf bytes.Buffer
 	psc.Recorder = telemetry.NewJSONL(&buf)
 	psc.Workers = 4
-	par := Runner{Workers: 4}.Run(psc, jobs)
+	par := NewSuite(psc, 16)
+	par.Prefetch(policies, mixes)
 
-	if len(seq) != len(par) {
-		t.Fatalf("length mismatch %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		s, p := comparableRun(seq[i]), comparableRun(par[i])
-		if !reflect.DeepEqual(s, p) {
-			t.Fatalf("job %s diverged between sequential and parallel runs:\nseq %+v\npar %+v",
-				jobs[i], s, p)
+	for _, p := range policies {
+		for _, m := range mixes {
+			s, q := comparableRun(seq.Run(p, m)), comparableRun(par.Run(p, m))
+			if !reflect.DeepEqual(s, q) {
+				t.Fatalf("%s/%s diverged between sequential and parallel runs:\nseq %+v\npar %+v",
+					p, m, s, q)
+			}
 		}
+	}
+	if seq.Simulations() != 4 || par.Simulations() != 4 {
+		t.Fatalf("simulations: seq %d, par %d, want 4 each", seq.Simulations(), par.Simulations())
 	}
 	if buf.Len() == 0 {
 		t.Fatal("shared recorder received nothing from the parallel campaign")
