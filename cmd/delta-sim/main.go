@@ -62,7 +62,7 @@ func main() {
 
 	policies := strings.Split(*policy, ",")
 	if *policy == "all" {
-		policies = experiments.PolicyNames()
+		policies = delta.Policies()
 	}
 
 	var script *delta.Scenario

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"strings"
 
-	"delta/internal/chip"
 	"delta/internal/experiments"
 	"delta/internal/metrics"
 	"delta/internal/telemetry"
@@ -107,23 +106,17 @@ func main() {
 	}
 	fmt.Println(t.String())
 
-	d := deltaRun.Delta
-	fmt.Printf("DELTA: %+v\n\n", d.Stats)
+	fmt.Printf("DELTA: %+v\n\n", deltaRun.Delta)
 	slots := mix.Slots(*cores)
 	fmt.Println("final allocations:")
-	for i := 0; i < *cores; i++ {
-		if w := d.TotalWays(i); w != 16 {
-			fmt.Printf("  core %2d (%-10s) %3d ways\n", i, slots[i].Name, w)
+	for i, w := range deltaRun.Ways {
+		if w != 16 {
+			fmt.Printf("  core %2d (%-10s) %3d ways\n", i, slots[i].Name, int(w))
 		}
 	}
 	if *util {
-		c := chip.New(sc.ChipConfig(*cores), sc.NewPolicy("delta"))
-		for i, g := range mix.Generators(*cores, sc.Seed) {
-			c.SetWorkload(i, g, true)
-		}
-		c.Run(sc.Warmup, sc.Budget)
-		fmt.Println(c.UtilizationString())
-		tr := c.Traffic()
+		fmt.Println(deltaRun.Utilization)
+		tr := deltaRun.Traffic
 		fmt.Printf("traffic: %d LLC accesses, %d memory fetches, %.1f%% local hits, avg MCU queue %.1f cy\n\n",
 			tr.LLCAccesses, tr.MemFetches,
 			100*float64(tr.LocalHits)/float64(tr.LocalHits+tr.RemoteHits), tr.AvgQueueDelay)

@@ -329,7 +329,7 @@ func (s *Simulator) SetWorkloadE(coreID int, w Workload) error {
 		if err != nil {
 			return err
 		}
-		gen = app.Spec.Build(s.cfg.Seed*1000003 + uint64(coreID)*7919 + 17)
+		gen = app.Spec.Build(workloads.CoreSeed(s.cfg.Seed, coreID))
 		// Record by canonical name so a restore rebuilds the identical
 		// generator tree regardless of whether the short code was used.
 		s.appByCore[coreID] = snapshot.AppAssignment{Core: coreID, App: app.Name, Shared: w.SharedAddressSpace}
@@ -517,7 +517,7 @@ func (s *Simulator) buildApp(coreID int, name string) (trace.Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return app.Spec.Build(s.cfg.Seed*1000003 + uint64(coreID)*7919 + 17), nil
+	return app.Spec.Build(workloads.CoreSeed(s.cfg.Seed, coreID)), nil
 }
 
 // Scenario is the dynamic-scenario DSL: a schema-versioned script of workload

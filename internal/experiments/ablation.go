@@ -92,25 +92,18 @@ func Ablations(sc Scale, mixName string) []AblationResult {
 	mix := workloads.MixByName(mixName)
 	variants := AblationVariants()
 	out := make([]AblationResult, len(variants))
-	fan := sc.fanIn()
-	ForEach(sc.Workers, len(variants), func(i int) {
-		v := variants[i]
-		vsc := sc.forJob(fan, "ablation/"+v.Name)
-		params := core.DefaultParams().Scale(vsc.IntervalScale)
+	tag := func(i int) string { return "ablation/" + variants[i].Name }
+	sc.fanOut(len(variants), tag, func(i int, vsc Scale) {
+		params := core.DefaultParams().Scale(intervalScale)
 		ccfg := vsc.ChipConfig(16)
-		v.Mutate(&params, &ccfg)
-		d := core.New(params)
-		c := chip.New(ccfg, d)
-		for t, g := range mix.Generators(16, vsc.Seed) {
-			c.SetWorkload(t, g, true)
-		}
-		c.Run(vsc.Warmup, vsc.Budget)
+		variants[i].Mutate(&params, &ccfg)
+		run := vsc.simulate(ccfg, core.New(params), mix.Generators(16, vsc.Seed), true, nil)
 		out[i] = AblationResult{
-			Variant:    v.Name,
-			GeoIPC:     metrics.GeoMean(MixRun{Results: c.Results()}.IPCs()),
-			InvalLines: d.Stats.InvalLines,
-			Expansions: d.Stats.Expansions,
-			Retreats:   d.Stats.Retreats,
+			Variant:    variants[i].Name,
+			GeoIPC:     metrics.GeoMean(run.IPCs()),
+			InvalLines: run.Delta.InvalLines,
+			Expansions: run.Delta.Expansions,
+			Retreats:   run.Delta.Retreats,
 		}
 	})
 	base := 0.0

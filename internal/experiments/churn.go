@@ -5,6 +5,7 @@ import (
 
 	"delta/internal/chip"
 	"delta/internal/metrics"
+	"delta/internal/policies"
 	"delta/internal/scenario"
 	"delta/internal/trace"
 	"delta/internal/workloads"
@@ -50,26 +51,6 @@ type ChurnResult struct {
 	Runs     []ChurnRun
 }
 
-// RunChurn simulates one mix under one policy with a scenario attached.
-func (s Scale) RunChurn(policy string, mix workloads.Mix, cores int, sc *scenario.Scenario) MixRun {
-	p := s.NewPolicy(policy)
-	c := chip.New(s.ChipConfig(cores), p)
-	for i, g := range mix.Generators(cores, s.Seed) {
-		c.SetWorkload(i, g, true)
-	}
-	build := func(coreID int, app string) (trace.Generator, error) {
-		// Same seed derivation as the initial assignment (workloads.Mix
-		// .Generators), so an arrival is reproducible from (seed, core).
-		return workloads.ByName(app).Spec.Build(s.Seed*1000003 + uint64(coreID)*7919 + 17), nil
-	}
-	c.SetBoundaryHook(scenario.NewExecutor(sc, c, build))
-	if s.FastForward {
-		c.FastForward(s.Warmup)
-	}
-	c.Run(s.Warmup, s.Budget)
-	return MixRun{Policy: policy, Mix: mix, Cores: cores, Results: c.Results(), Net: c.Net.Stats, Chip: c.Stats}
-}
-
 // Churn runs the built-in churn scenario under every registered policy on
 // one mix.
 func Churn(s Scale, mixName string, cores int) ChurnResult {
@@ -83,10 +64,16 @@ func ChurnWith(s Scale, mixName string, cores int, sc *scenario.Scenario) ChurnR
 		panic(fmt.Sprintf("experiments: churn scenario invalid for %d cores: %v", cores, err))
 	}
 	mix := workloads.MixByName(mixName)
-	names := PolicyNames()
+	names := policies.Names()
 	runs := make([]MixRun, len(names))
-	ForEach(s.Workers, len(names), func(i int) {
-		runs[i] = s.RunChurn(names[i], mix, cores, sc)
+	s.fanOut(len(names), func(i int) string { return "churn/" + names[i] }, func(i int, ps Scale) {
+		attach := func(c *chip.Chip) {
+			build := func(coreID int, app string) (trace.Generator, error) {
+				return workloads.ByName(app).Spec.Build(workloads.CoreSeed(ps.Seed, coreID)), nil
+			}
+			c.SetBoundaryHook(scenario.NewExecutor(sc, c, build))
+		}
+		runs[i] = ps.simulate(ps.ChipConfig(cores), ps.NewPolicy(names[i]), mix.Generators(cores, ps.Seed), true, attach)
 	})
 	var privateIPC []float64
 	for i, name := range names {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"delta/internal/policies"
 )
 
 func TestChurnScenarioValid(t *testing.T) {
@@ -21,8 +23,8 @@ func TestChurnCampaign(t *testing.T) {
 	sc.Check = true
 	sc.Workers = 4
 	res := Churn(sc, "w6", 16)
-	if len(res.Runs) != len(PolicyNames()) {
-		t.Fatalf("%d runs, want %d", len(res.Runs), len(PolicyNames()))
+	if len(res.Runs) != len(policies.Names()) {
+		t.Fatalf("%d runs, want %d", len(res.Runs), len(policies.Names()))
 	}
 	// Two departures latch extra results: 16 initial − 2 departed + 1
 	// arrival = 15 live, 17 total; identical membership for every policy.

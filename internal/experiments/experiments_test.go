@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"delta/internal/policies"
 	"delta/internal/workloads"
 )
 
@@ -22,8 +23,8 @@ func TestRunMixProducesResults(t *testing.T) {
 	if len(run.Results) != 16 {
 		t.Fatalf("%d results", len(run.Results))
 	}
-	if run.Delta == nil {
-		t.Fatal("delta introspection missing")
+	if len(run.Ways) != 16 {
+		t.Fatalf("delta introspection: %d per-core ways, want 16", len(run.Ways))
 	}
 	for _, r := range run.Results {
 		if r.IPC <= 0 {
@@ -43,7 +44,7 @@ func TestSuiteCaches(t *testing.T) {
 
 func TestPolicyFactory(t *testing.T) {
 	sc := tinyScale()
-	for _, name := range append(PolicyNames(), "ideal-slow") {
+	for _, name := range append(policies.Names(), "ideal-slow") {
 		if p := sc.NewPolicy(name); p == nil {
 			t.Fatalf("nil policy %q", name)
 		}
@@ -180,10 +181,10 @@ func TestScaleFor64(t *testing.T) {
 
 func TestChipConfigReflectsScale(t *testing.T) {
 	sc := DefaultScale()
-	sc.UmonSampleEvery = 8
-	sc.Quantum = 777
+	sc.Seed = 9
+	sc.Check = true
 	cfg := sc.ChipConfig(16)
-	if cfg.UmonSampleEvery != 8 || cfg.Quantum != 777 || cfg.Cores != 16 {
+	if cfg.Seed != 9 || !cfg.Check || cfg.UmonSampleEvery != umonSampleEvery || cfg.Cores != 16 {
 		t.Fatalf("config %+v", cfg)
 	}
 }

@@ -130,15 +130,8 @@ func PerApp(st *Suite, mixName string) PerAppResult {
 		res.Apps = append(res.Apps, slots[i].Name)
 		res.IdealVsDelta = append(res.IdealVsDelta, ideal.Results[i].IPC/delta.Results[i].IPC)
 		res.PrivVsDelta = append(res.PrivVsDelta, private.Results[i].IPC/delta.Results[i].IPC)
-		wI, wD := 0.0, 0.0
-		if ideal.Ideal != nil {
-			wI = ideal.Ideal.AvgWays(i)
-		}
-		if delta.Delta != nil {
-			wD = float64(delta.Delta.TotalWays(i))
-		}
-		res.WaysIdeal = append(res.WaysIdeal, wI)
-		res.WaysDelta = append(res.WaysDelta, wD)
+		res.WaysIdeal = append(res.WaysIdeal, ideal.Ways[i])
+		res.WaysDelta = append(res.WaysDelta, delta.Ways[i])
 	}
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"delta/internal/metrics"
+	"delta/internal/policies"
 	"delta/internal/workloads"
 )
 
@@ -36,10 +37,10 @@ type MatrixResult struct {
 // the slowdown-derived metrics, mirroring the paper's methodology.
 func PolicyMatrix(s Scale, mixName string, cores int) MatrixResult {
 	mix := workloads.MixByName(mixName)
-	names := PolicyNames()
+	names := policies.Names()
 	runs := make([]MixRun, len(names))
-	ForEach(s.Workers, len(names), func(i int) {
-		runs[i] = s.RunMix(names[i], mix, cores)
+	s.fanOut(len(names), func(i int) string { return "matrix/" + names[i] }, func(i int, ps Scale) {
+		runs[i] = ps.RunMix(names[i], mix, cores)
 	})
 	var privateIPC []float64
 	for i, name := range names {

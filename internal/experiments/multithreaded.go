@@ -62,7 +62,7 @@ func fig12Row(sc Scale, app workloads.Splash2App) Fig12Row {
 	row.PagePrivate = page * 100
 	row.BlockPrivate = block * 100
 
-	runMT := func(policy string) ([]chip.CoreResult, *chip.Chip) {
+	runMT := func(policy string) MixRun {
 		cfg := sc.ChipConfig(16)
 		// Only DELTA uses the Section II-E page classifier. The S-NUCA
 		// baseline maps everything statically anyway, and the paper's
@@ -71,35 +71,23 @@ func fig12Row(sc Scale, app workloads.Splash2App) Fig12Row {
 		// paying duplication instead of distance.
 		cfg.Multithreaded = policy == "delta"
 		p := sc.NewPolicy(policy)
+		var oneProcess func(*chip.Chip)
 		if d, ok := p.(*core.Delta); ok {
 			// All threads belong to one process (Section II-E).
-			c := chip.New(cfg, d)
-			for t := 0; t < 16; t++ {
-				d.SetProcess(t, 0)
+			oneProcess = func(*chip.Chip) {
+				for t := 0; t < 16; t++ {
+					d.SetProcess(t, 0)
+				}
 			}
-			gens := app.ThreadGenerators(16, sc.Seed)
-			for t, g := range gens {
-				c.SetWorkload(t, g, false)
-			}
-			c.Run(sc.Warmup, sc.Budget)
-			return c.Results(), c
 		}
-		c := chip.New(cfg, p)
-		gens := app.ThreadGenerators(16, sc.Seed)
-		for t, g := range gens {
-			c.SetWorkload(t, g, false)
-		}
-		c.Run(sc.Warmup, sc.Budget)
-		return c.Results(), c
+		return sc.simulate(cfg, p, app.ThreadGenerators(16, sc.Seed), false, oneProcess)
 	}
 
-	snuca, _ := runMT("snuca")
-	private, _ := runMT("private")
-	delta, dc := runMT("delta")
-	row.SnucaCycles = roiCycles(snuca)
-	row.PrivateCycles = roiCycles(private)
-	row.DeltaSimCycles = roiCycles(delta)
-	row.ReclassifyCount = dc.Stats.PageReclassify
+	snuca, private, delta := runMT("snuca"), runMT("private"), runMT("delta")
+	row.SnucaCycles = roiCycles(snuca.Results)
+	row.PrivateCycles = roiCycles(private.Results)
+	row.DeltaSimCycles = roiCycles(delta.Results)
+	row.ReclassifyCount = delta.Chip.PageReclassify
 
 	row.PrivateSpeedup = float64(row.SnucaCycles) / float64(row.PrivateCycles)
 	row.DeltaSimulated = float64(row.SnucaCycles) / float64(row.DeltaSimCycles)
@@ -119,9 +107,8 @@ func fig12Row(sc Scale, app workloads.Splash2App) Fig12Row {
 func Fig12(sc Scale) Fig12Result {
 	apps := workloads.Splash2Apps()
 	rows := make([]Fig12Row, len(apps))
-	fan := sc.fanIn()
-	ForEach(sc.Workers, len(apps), func(i int) {
-		rows[i] = fig12Row(sc.forJob(fan, "fig12/"+apps[i].Name), apps[i])
+	sc.fanOut(len(apps), func(i int) string { return "fig12/" + apps[i].Name }, func(i int, asc Scale) {
+		rows[i] = fig12Row(asc, apps[i])
 	})
 	res := Fig12Result{Rows: rows}
 	sumSnuca, sumPriv := 0.0, 0.0

@@ -28,11 +28,8 @@ var Fig13Mixes = []string{"w1", "w2", "w5", "w7", "w13"}
 func Fig13(sc Scale) Fig13Result {
 	fast := make([]float64, len(Fig13Mixes))
 	slow := make([]float64, len(Fig13Mixes))
-	fan := sc.fanIn()
-	ForEach(sc.Workers, len(Fig13Mixes), func(i int) {
-		name := Fig13Mixes[i]
-		msc := sc.forJob(fan, "fig13/"+name)
-		m := workloads.MixByName(name)
+	sc.fanOut(len(Fig13Mixes), func(i int) string { return "fig13/" + Fig13Mixes[i] }, func(i int, msc Scale) {
+		m := workloads.MixByName(Fig13Mixes[i])
 		base := metrics.GeoMean(msc.RunMix("snuca", m, 16).IPCs())
 		fast[i] = metrics.GeoMean(msc.RunMix("ideal", m, 16).IPCs()) / base
 		slow[i] = metrics.GeoMean(msc.RunMix("ideal-slow", m, 16).IPCs()) / base
@@ -126,17 +123,15 @@ func Overheads(sc Scale, mixName string) OverheadResult {
 		ControlMsgs:    run.Net.Messages[noc.ClassControl],
 		ControlPercent: run.Net.ControlFraction() * 100,
 	}
-	if run.Delta != nil {
-		st := run.Delta.Stats
-		res.ChallengesSent = st.ChallengesSent
-		res.GainUpdates = st.GainUpdates
-		res.IntraMoves = st.IntraMoves
-		res.Expansions = st.Expansions
-		res.Retreats = st.Retreats
-		res.InvalLines = st.InvalLines
-		if st.Expansions+st.Retreats > 0 {
-			res.InvalPerExp = float64(st.InvalLines) / float64(st.Expansions+st.Retreats)
-		}
+	st := run.Delta
+	res.ChallengesSent = st.ChallengesSent
+	res.GainUpdates = st.GainUpdates
+	res.IntraMoves = st.IntraMoves
+	res.Expansions = st.Expansions
+	res.Retreats = st.Retreats
+	res.InvalLines = st.InvalLines
+	if st.Expansions+st.Retreats > 0 {
+		res.InvalPerExp = float64(st.InvalLines) / float64(st.Expansions+st.Retreats)
 	}
 	return res
 }

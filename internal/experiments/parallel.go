@@ -12,9 +12,6 @@ package experiments
 // telemetry.Recorder, which the engine wraps in a telemetry.FanIn.
 
 import (
-	"context"
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -28,26 +25,14 @@ import (
 // only write state disjoint per index (the campaign drivers write results[i]
 // and nothing else).
 func ForEach(workers, n int, fn func(int)) {
-	// A background context never cancels, so the error is statically nil.
-	_ = ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is canceled
-// no further iterations start (running ones finish — a chip is never
-// interrupted between its own quantum checks) and the context's error is
-// returned. A nil return means every iteration ran.
-func ForEachCtx(ctx context.Context, workers, n int, fn func(int)) error {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
 			fn(i)
 		}
-		return nil
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -56,9 +41,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(int)) error {
 		go func() {
 			defer wg.Done()
 			for {
-				if ctx.Err() != nil {
-					return
-				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
@@ -68,85 +50,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(int)) error {
 		}()
 	}
 	wg.Wait()
-	return ctx.Err()
-}
-
-// Job identifies one independent (policy, mix, cores) simulation of a
-// campaign.
-type Job struct {
-	Policy string
-	Mix    string
-	Cores  int
-}
-
-// String is the job's telemetry stream tag.
-func (j Job) String() string { return fmt.Sprintf("%s/%s/%d", j.Policy, j.Mix, j.Cores) }
-
-// Runner fans independent simulations across a worker pool.
-type Runner struct {
-	// Workers is the pool size; <= 0 uses runtime.NumCPU().
-	Workers int
-}
-
-// workers resolves the effective pool size.
-func (r Runner) workers() int {
-	if r.Workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return r.Workers
-}
-
-// Run simulates every job and returns results in job order, regardless of
-// completion order. Jobs with more than 16 cores use the For64 window
-// reduction, matching Suite. When sc.Recorder is non-nil, all chips share it
-// through a FanIn that tags each job's stream "policy/mix/cores".
-func (r Runner) Run(sc Scale, jobs []Job) []MixRun {
-	// A background context never cancels, so the error is statically nil.
-	out, _ := r.RunCtx(context.Background(), sc, jobs)
-	return out
-}
-
-// RunCtx is Run with cooperative cancellation: ctx reaches every chip's run
-// loop, so cancellation stops in-flight simulations within one quantum and
-// skips unstarted jobs. On cancellation the context's error is returned and
-// the result slice holds zero values (or partial measurements) for jobs that
-// did not complete.
-func (r Runner) RunCtx(ctx context.Context, sc Scale, jobs []Job) ([]MixRun, error) {
-	out := make([]MixRun, len(jobs))
-	workers := r.workers()
-	var fan *telemetry.FanIn
-	if workers > 1 && sc.Recorder != nil {
-		fan = telemetry.NewFanIn(sc.Recorder)
-	}
-	var aborted atomic.Bool
-	err := ForEachCtx(ctx, workers, len(jobs), func(i int) {
-		j := jobs[i]
-		jsc := sc.forJob(fan, j.String())
-		if j.Cores > 16 {
-			jsc = jsc.For64()
-		}
-		run, err := jsc.RunMixCtx(ctx, j.Policy, workloads.MixByName(j.Mix), j.Cores)
-		if err != nil {
-			aborted.Store(true)
-			return
-		}
-		out[i] = run
-	})
-	if err == nil && aborted.Load() {
-		err = ctx.Err()
-	}
-	return out, err
-}
-
-// CrossJobs enumerates the full policies x mixes campaign at one chip size.
-func CrossJobs(policies, mixes []string, cores int) []Job {
-	jobs := make([]Job, 0, len(policies)*len(mixes))
-	for _, p := range policies {
-		for _, m := range mixes {
-			jobs = append(jobs, Job{Policy: p, Mix: m, Cores: cores})
-		}
-	}
-	return jobs
 }
 
 // Suite runs and caches (policy, mix) simulations for one chip size so that

@@ -32,24 +32,6 @@ func TestForEachSequentialOrder(t *testing.T) {
 	}
 }
 
-func TestCrossJobs(t *testing.T) {
-	jobs := CrossJobs([]string{"snuca", "delta"}, []string{"w2", "w6"}, 16)
-	if len(jobs) != 4 {
-		t.Fatalf("%d jobs", len(jobs))
-	}
-	if jobs[0].String() != "snuca/w2/16" || jobs[3].String() != "delta/w6/16" {
-		t.Fatalf("jobs %v", jobs)
-	}
-}
-
-// comparable strips the policy introspection pointers (they are per-run
-// objects, never equal across runs) so runs can be compared field-wise.
-func comparableRun(r MixRun) MixRun {
-	r.Delta = nil
-	r.Ideal = nil
-	return r
-}
-
 // TestRunnerDeterminism is the engine's core guarantee: a parallel campaign
 // is bit-identical to a sequential one, run for run. The parallel leg also
 // carries a shared JSONL recorder, which the suite wraps in a FanIn, so
@@ -72,7 +54,7 @@ func TestRunnerDeterminism(t *testing.T) {
 
 	for _, p := range policies {
 		for _, m := range mixes {
-			s, q := comparableRun(seq.Run(p, m)), comparableRun(par.Run(p, m))
+			s, q := seq.Run(p, m), par.Run(p, m)
 			if !reflect.DeepEqual(s, q) {
 				t.Fatalf("%s/%s diverged between sequential and parallel runs:\nseq %+v\npar %+v",
 					p, m, s, q)
@@ -111,7 +93,7 @@ func TestSuiteSingleFlight(t *testing.T) {
 		t.Fatalf("%d simulations for one contended key, want 1", got)
 	}
 	for i := 1; i < callers; i++ {
-		if !reflect.DeepEqual(comparableRun(runs[0]), comparableRun(runs[i])) {
+		if !reflect.DeepEqual(runs[0], runs[i]) {
 			t.Fatalf("caller %d saw a different result", i)
 		}
 	}
@@ -158,7 +140,7 @@ func TestSuiteMatchesSequentialScale(t *testing.T) {
 	pst.Prefetch([]string{"snuca"}, []string{"w2"})
 	viaSuite := pst.Run("snuca", "w2")
 
-	if !reflect.DeepEqual(comparableRun(direct), comparableRun(viaSuite)) {
+	if !reflect.DeepEqual(direct, viaSuite) {
 		t.Fatal("suite run diverged from direct sequential run")
 	}
 }

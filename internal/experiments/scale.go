@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"delta/internal/bankbw"
@@ -20,7 +19,17 @@ import (
 	"delta/internal/noc"
 	"delta/internal/policies"
 	"delta/internal/telemetry"
+	"delta/internal/trace"
 	"delta/internal/workloads"
+)
+
+const (
+	// intervalScale divides the paper's reconfiguration intervals (1 ms
+	// inter / 0.1 ms intra at 4 GHz): i_inter = 80k cycles, i_intra = 8k.
+	intervalScale = 50
+	// umonSampleEvery densifies UMON sampling to compensate for the short
+	// windows (the paper's value is 32).
+	umonSampleEvery = 4
 )
 
 // Scale fixes the time compression of a simulation campaign.
@@ -28,21 +37,11 @@ type Scale struct {
 	// Warmup and Budget are per-application instruction counts (the paper's
 	// 8 B fast-forward and 500 M detailed window, compressed).
 	Warmup, Budget uint64
-	// IntervalScale divides the paper's reconfiguration intervals (1 ms
-	// inter / 0.1 ms intra at 4 GHz).
-	IntervalScale uint64
-	// UmonSampleEvery densifies UMON sampling to compensate for the short
-	// windows (the paper's value is 32).
-	UmonSampleEvery int
-	// Quantum is the chip synchronization quantum in cycles.
-	Quantum uint64
 	// Seed drives workload generation.
 	Seed uint64
 	// Recorder, when non-nil, receives telemetry from every chip the scale
 	// builds (events, per-quantum samples, end-of-run counters/gauges).
 	Recorder telemetry.Recorder
-	// SampleEvery sets quanta between telemetry samples (0 = chip default).
-	SampleEvery int
 	// Check enables the runtime invariant harness on every chip the scale
 	// builds (chip.Config.Check).
 	Check bool
@@ -53,8 +52,8 @@ type Scale struct {
 	// the instruction window.
 	FastForward bool
 	// Workers bounds how many simulations the campaign drivers (Suite
-	// prefetching, Fig12, Fig13, Ablations) run concurrently. 0 or 1 runs
-	// sequentially — the historical behaviour; delta-bench wires its
+	// prefetching, Fig12, Fig13, Ablations, Churn, PolicyMatrix) run
+	// concurrently. 0 or 1 runs sequentially; delta-bench wires its
 	// -parallel flag (default runtime.NumCPU()) here. Results are
 	// bit-identical at any worker count: each chip owns all of its mutable
 	// state, including its seeded RNGs.
@@ -64,14 +63,7 @@ type Scale struct {
 // DefaultScale is the compression used for EXPERIMENTS.md: runs stay within
 // minutes while every app sees tens of reconfiguration epochs.
 func DefaultScale() Scale {
-	return Scale{
-		Warmup:          400_000,
-		Budget:          250_000,
-		IntervalScale:   50, // i_inter = 80k cycles, i_intra = 8k cycles
-		UmonSampleEvery: 4,
-		Quantum:         1000,
-		Seed:            1,
-	}
+	return Scale{Warmup: 400_000, Budget: 250_000, Seed: 1}
 }
 
 // QuickScale is a further-compressed variant for smoke tests and CI.
@@ -94,21 +86,16 @@ func (s Scale) For64() Scale {
 // (Figs. 5 and 9 compare exactly these).
 var PaperPolicies = []string{"snuca", "private", "delta", "ideal"}
 
-// PolicyNames lists every registered policy; campaigns that sweep "all
-// policies" (churn, the policy matrix, delta-sim's -policy all) follow the
-// registry, so externally registered policies join automatically.
-func PolicyNames() []string { return policies.Names() }
-
 // NewPolicy constructs a policy by name at this scale through the registry.
 // The special name "ideal-slow" is the 100 ms-equivalent centralized
 // configuration used by the Fig. 13 frequency study.
 func (s Scale) NewPolicy(name string) chip.Policy {
 	if name == "ideal-slow" {
 		cfg := central.DefaultIdealConfig()
-		cfg.Interval = cfg.Interval * 100 / s.IntervalScale // 100 ms equivalent
+		cfg.Interval = cfg.Interval * 100 / intervalScale // 100 ms equivalent
 		return central.NewIdeal(cfg)
 	}
-	p, err := policies.Build(name, policies.BuildContext{IntervalScale: s.IntervalScale})
+	p, err := policies.Build(name, policies.BuildContext{IntervalScale: intervalScale})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
@@ -118,16 +105,15 @@ func (s Scale) NewPolicy(name string) chip.Policy {
 // ChipConfig builds the chip configuration for the core count at this scale.
 func (s Scale) ChipConfig(cores int) chip.Config {
 	cfg := chip.DefaultConfig(cores)
-	cfg.Quantum = s.Quantum
-	cfg.UmonSampleEvery = s.UmonSampleEvery
+	cfg.UmonSampleEvery = umonSampleEvery
 	cfg.Seed = s.Seed
 	cfg.Recorder = s.Recorder
-	cfg.SampleEvery = s.SampleEvery
 	cfg.Check = s.Check
 	return cfg
 }
 
-// MixRun is the outcome of one (policy, mix, chip) simulation.
+// MixRun is the outcome of one (policy, mix, chip) simulation. It is plain
+// data: no run keeps its chip or policy reachable.
 type MixRun struct {
 	Policy  string
 	Mix     workloads.Mix
@@ -135,10 +121,16 @@ type MixRun struct {
 	Results []chip.CoreResult
 	Net     noc.Stats
 	Chip    chip.Stats
+	// Traffic and Utilization are the chip's end-of-run traffic summary and
+	// per-bank occupancy map.
+	Traffic     chip.TrafficSummary
+	Utilization string
 
-	// Policy-specific introspection, nil unless applicable.
-	Delta *core.Delta
-	Ideal *central.Ideal
+	// Delta holds DELTA's reconfiguration counters (zero for other
+	// policies). Ways is the LLC capacity each core was granted: DELTA's
+	// final TotalWays or the ideal scheme's AvgWays; nil for other policies.
+	Delta core.Stats
+	Ways  []float64
 }
 
 // IPCs returns the per-core IPC vector.
@@ -152,48 +144,61 @@ func (r MixRun) IPCs() []float64 {
 
 // RunMix simulates one mix under one policy.
 func (s Scale) RunMix(policy string, mix workloads.Mix, cores int) MixRun {
-	// Background contexts never cancel, so the error is statically nil.
-	run, _ := s.RunMixCtx(context.Background(), policy, mix, cores)
+	run := s.simulate(s.ChipConfig(cores), s.NewPolicy(policy), mix.Generators(cores, s.Seed), true, nil)
+	run.Policy, run.Mix, run.Cores = policy, mix, cores
 	return run
 }
 
-// RunMixCtx is RunMix with cooperative cancellation: ctx is threaded into
-// the chip's run loop and polled at quantum boundaries. On cancellation the
-// returned error is the context's and the MixRun holds the partial
-// measurements latched so far — campaign drivers treat such runs as aborted.
-func (s Scale) RunMixCtx(ctx context.Context, policy string, mix workloads.Mix, cores int) (MixRun, error) {
-	p := s.NewPolicy(policy)
-	c := chip.New(s.ChipConfig(cores), p)
-	gens := mix.Generators(cores, s.Seed)
+// simulate is the package's one chip-run path. It builds the chip, loads one
+// generator per core (each in its own address space when private), lets
+// setup adjust the loaded chip, fast-forwards when the scale asks, runs the
+// measured window and returns the outcome with Policy, Mix and Cores unset.
+func (s Scale) simulate(cfg chip.Config, p chip.Policy, gens []trace.Generator, private bool, setup func(*chip.Chip)) MixRun {
+	c := chip.New(cfg, p)
 	for i, g := range gens {
-		c.SetWorkload(i, g, true)
+		c.SetWorkload(i, g, private)
+	}
+	if setup != nil {
+		setup(c)
 	}
 	if s.FastForward {
 		c.FastForward(s.Warmup)
 	}
-	err := c.RunCtx(ctx, s.Warmup, s.Budget)
+	c.Run(s.Warmup, s.Budget)
 	run := MixRun{
-		Policy:  policy,
-		Mix:     mix,
-		Cores:   cores,
-		Results: c.Results(),
-		Net:     c.Net.Stats,
-		Chip:    c.Stats,
+		Results:     c.Results(),
+		Net:         c.Net.Stats,
+		Chip:        c.Stats,
+		Traffic:     c.Traffic(),
+		Utilization: c.UtilizationString(),
 	}
 	// Introspection sees through the bandwidth regulator to its base.
-	inner := bankbw.Unwrap(p)
-	if d, ok := inner.(*core.Delta); ok {
-		run.Delta = d
+	switch inner := bankbw.Unwrap(p).(type) {
+	case *core.Delta:
+		run.Delta = inner.Stats
+		for i := 0; i < cfg.Cores; i++ {
+			run.Ways = append(run.Ways, float64(inner.TotalWays(i)))
+		}
+	case *central.Ideal:
+		for i := 0; i < cfg.Cores; i++ {
+			run.Ways = append(run.Ways, inner.AvgWays(i))
+		}
 	}
-	if id, ok := inner.(*central.Ideal); ok {
-		run.Ideal = id
-	}
-	return run, err
+	return run
+}
+
+// fanOut calls fn(i, sc) for every i in [0, n) across s.Workers goroutines.
+// sc is the scale run i must simulate at: s itself, or, when runs proceed
+// concurrently and share a recorder, s with a FanIn view tagging run i's
+// stream tag(i).
+func (s Scale) fanOut(n int, tag func(int) string, fn func(i int, sc Scale)) {
+	fan := s.fanIn()
+	ForEach(s.Workers, n, func(i int) { fn(i, s.forJob(fan, tag(i))) })
 }
 
 // fanIn wraps the scale's recorder for a parallel campaign section: nil when
 // no recorder is attached or the campaign is sequential (the chips then use
-// Scale.Recorder directly, exactly as before).
+// Scale.Recorder directly).
 func (s Scale) fanIn() *telemetry.FanIn {
 	if s.Workers <= 1 || s.Recorder == nil {
 		return nil

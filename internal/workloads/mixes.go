@@ -63,13 +63,19 @@ func (m Mix) Slots(cores int) []App {
 	return out
 }
 
-// Generators builds per-core generators for the mix. Seeds differ per slot
-// so replicated copies of one application do not move in lockstep.
+// Generators builds per-core generators for the mix, each seeded by
+// CoreSeed.
 func (m Mix) Generators(cores int, seed uint64) []trace.Generator {
 	slots := m.Slots(cores)
 	out := make([]trace.Generator, cores)
 	for i, app := range slots {
-		out[i] = app.Spec.Build(seed*1000003 + uint64(i)*7919 + 17)
+		out[i] = app.Spec.Build(CoreSeed(seed, i))
 	}
 	return out
 }
+
+// CoreSeed derives the generator seed of the application on core from a run
+// seed. Initial assignments and scripted arrivals both use it, so a workload
+// is reproducible from (seed, core), and replicated copies of one
+// application do not move in lockstep.
+func CoreSeed(seed uint64, core int) uint64 { return seed*1000003 + uint64(core)*7919 + 17 }
