@@ -298,10 +298,7 @@ func TestControlMessagesCountedSeparately(t *testing.T) {
 	c := New(testConfig(16), NewSnuca())
 	c.SetWorkload(0, bigRegion(256, 1), true)
 	c.SendControl(0, 5, sim.Msg{Kind: sim.MsgNoop})
-	pending, err := c.events.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pending := c.events.Pending()
 	if len(pending) != 1 || pending[0].Msg.Kind != sim.MsgNoop {
 		t.Fatalf("pending events %+v", pending)
 	}

@@ -40,10 +40,7 @@ func (c *Chip) Snapshot() (*snapshot.Chip, error) {
 // arrays and UMON stacks) of the capture s already holds; the result equals
 // a fresh Snapshot's. On error s is left partially overwritten.
 func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
-	events, err := c.events.Pending()
-	if err != nil {
-		return fmt.Errorf("chip: %w", err)
-	}
+	events := c.events.Pending()
 	tiles := s.Tiles
 	if tiles == nil || len(tiles) != len(c.Tiles) {
 		tiles = make([]snapshot.Tile, len(c.Tiles))

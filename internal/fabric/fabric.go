@@ -190,7 +190,7 @@ func New(cfg Config) (*Coordinator, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
 		cfg:     cfg,
-		shared:  telemetry.NewShared(0),
+		shared:  telemetry.NewShared(),
 		start:   time.Now(),
 		baseCtx: ctx,
 		cancel:  cancel,

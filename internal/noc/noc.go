@@ -38,10 +38,9 @@ func (c Class) String() string {
 
 // Config describes the interconnect.
 type Config struct {
-	HopCycles  uint64 // per-hop latency
-	LinkStats  bool   // maintain per-link flit counters (slower)
-	TrackUtil  bool
-	RouterOnly bool // unused knob kept for config completeness
+	HopCycles uint64 // per-hop latency
+	LinkStats bool   // maintain per-link flit counters (slower)
+	TrackUtil bool
 }
 
 // DefaultConfig matches Table II.

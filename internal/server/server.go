@@ -122,7 +122,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		workers:   cfg.Workers,
-		shared:    telemetry.NewShared(0),
+		shared:    telemetry.NewShared(),
 		sink:      telemetry.NewFanIn(cfg.Sink),
 		start:     time.Now(),
 		baseCtx:   ctx,

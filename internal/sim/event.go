@@ -13,20 +13,14 @@ func mathLog(x float64) float64 { return math.Log(x) }
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle = uint64
 
-// Event is one slot of the queue's arena: a due cycle plus either a reified
-// message (the common, allocation-free path) or a bound closure (the legacy
-// Schedule path, used by tests and one-off callbacks). Events fire in cycle
-// order; ties are broken by insertion order so the simulation stays
+// Event is one slot of the queue's arena: a due cycle plus the reified
+// message delivered through the queue's Deliver handler. Events fire in
+// cycle order; ties are broken by insertion order so the simulation stays
 // deterministic.
 type Event struct {
 	When Cycle
-	Fn   func(now Cycle)
 	seq  uint64
-	// msg, when hasMsg is set, is the serializable payload delivered through
-	// the queue's Deliver handler. Only message events can survive a
-	// checkpoint; plain Schedule events make Pending fail.
-	msg    Msg
-	hasMsg bool
+	msg  Msg
 }
 
 // Msg is a reified control message: the serializable payload an in-flight
@@ -140,8 +134,8 @@ func (q *EventQueue) push(ev Event) {
 }
 
 // popRoot removes the heap minimum, recycles its slot, and returns the event
-// by value (the slab entry is zeroed so closure and message references are
-// released immediately).
+// by value (the slab entry is zeroed so message references are released
+// immediately).
 func (q *EventQueue) popRoot() Event {
 	id := q.heap[0]
 	last := len(q.heap) - 1
@@ -156,35 +150,20 @@ func (q *EventQueue) popRoot() Event {
 	return ev
 }
 
-// Schedule enqueues fn to run at cycle when. Scheduling in the past is
-// allowed (the event fires on the next drain); this matches the loosely
-// synchronized quantum model where a message can be "due" as soon as the
-// boundary is reached. Closure events cannot be checkpointed; simulation
-// traffic uses ScheduleMsg.
-func (q *EventQueue) Schedule(when Cycle, fn func(now Cycle)) {
-	q.seq++
-	q.push(Event{When: when, Fn: fn, seq: q.seq})
-}
-
 // ScheduleMsg enqueues a message for delivery at cycle when through the
 // queue's Deliver handler. No closure is bound, so scheduling steady-state
 // traffic performs no allocation, and the event serializes via Pending.
 func (q *EventQueue) ScheduleMsg(when Cycle, m Msg) {
 	q.seq++
-	q.push(Event{When: when, seq: q.seq, msg: m, hasMsg: true})
+	q.push(Event{When: when, seq: q.seq, msg: m})
 }
 
 // Pending returns every in-flight event in deterministic (When, seq) order
-// without disturbing the queue. It fails if any pending event was scheduled
-// through the closure-only Schedule path, because such an event cannot be
-// serialized.
-func (q *EventQueue) Pending() ([]PendingEvent, error) {
+// without disturbing the queue.
+func (q *EventQueue) Pending() []PendingEvent {
 	out := make([]PendingEvent, 0, len(q.heap))
 	for _, id := range q.heap {
 		ev := &q.slab[id]
-		if !ev.hasMsg {
-			return nil, fmt.Errorf("sim: pending event at cycle %d has no serializable message", ev.When)
-		}
 		out = append(out, PendingEvent{When: ev.When, Seq: ev.seq, Msg: ev.msg})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -193,7 +172,7 @@ func (q *EventQueue) Pending() ([]PendingEvent, error) {
 		}
 		return out[i].Seq < out[j].Seq
 	})
-	return out, nil
+	return out
 }
 
 // Restore discards the queue's current contents and rebuilds it from pending
@@ -207,7 +186,7 @@ func (q *EventQueue) Restore(pending []PendingEvent) {
 	q.heap = q.heap[:0]
 	q.seq = 0
 	for _, pe := range pending {
-		q.slab = append(q.slab, Event{When: pe.When, seq: pe.Seq, msg: pe.Msg, hasMsg: true})
+		q.slab = append(q.slab, Event{When: pe.When, seq: pe.Seq, msg: pe.Msg})
 		q.heap = append(q.heap, int32(len(q.slab)-1))
 		if pe.Seq > q.seq {
 			q.seq = pe.Seq
@@ -232,13 +211,6 @@ func (q *EventQueue) NextAt() (Cycle, bool) {
 
 // fire dispatches one popped event.
 func (q *EventQueue) fire(ev Event) {
-	if ev.Fn != nil {
-		ev.Fn(ev.When)
-		return
-	}
-	if !ev.hasMsg {
-		return
-	}
 	if q.Deliver == nil {
 		panic(fmt.Sprintf("sim: message event %q fired with no Deliver handler bound", ev.msg.Kind))
 	}

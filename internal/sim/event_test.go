@@ -4,23 +4,12 @@ import (
 	"testing"
 )
 
-func TestPendingRejectsClosureEvents(t *testing.T) {
-	var q EventQueue
-	q.Schedule(5, func(Cycle) {})
-	if _, err := q.Pending(); err == nil {
-		t.Fatal("Pending succeeded with a closure-only event in the queue")
-	}
-}
-
 func TestPendingRestoreRoundTrip(t *testing.T) {
 	var q EventQueue
 	q.ScheduleMsg(20, Msg{Kind: "delta.gain", A: 3, B: 1, FBits: 42})
 	q.ScheduleMsg(10, Msg{Kind: MsgNoop})
 	q.ScheduleMsg(20, Msg{Kind: "delta.retreat", A: 7})
-	pending, err := q.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pending := q.Pending()
 	if len(pending) != 3 {
 		t.Fatalf("%d pending events", len(pending))
 	}
@@ -51,10 +40,11 @@ func TestPendingRestoreRoundTrip(t *testing.T) {
 	q3.Deliver = func(Msg, Cycle) {}
 	q3.Restore(pending)
 	q3.ScheduleMsg(20, Msg{Kind: "late"})
-	if p, err := q3.Pending(); err != nil || len(p) != 4 {
-		t.Fatalf("pending after restore+schedule: %d events, err %v", len(p), err)
+	p := q3.Pending()
+	if len(p) != 4 {
+		t.Fatalf("pending after restore+schedule: %d events", len(p))
 	}
-	if p, _ := q3.Pending(); p[3].Msg.Kind != "late" || p[3].Seq <= pending[2].Seq {
+	if p[3].Msg.Kind != "late" || p[3].Seq <= pending[2].Seq {
 		t.Fatalf("late event did not sequence after restored ones: %+v", p)
 	}
 }

@@ -131,12 +131,20 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
+// recordingQueue returns a queue whose Deliver appends each message's A
+// field to *fired, in delivery order.
+func recordingQueue(fired *[]int) *EventQueue {
 	q := NewEventQueue()
+	q.Deliver = func(m Msg, _ Cycle) { *fired = append(*fired, m.A) }
+	return q
+}
+
+func TestEventQueueOrdering(t *testing.T) {
 	var order []int
-	q.Schedule(30, func(Cycle) { order = append(order, 3) })
-	q.Schedule(10, func(Cycle) { order = append(order, 1) })
-	q.Schedule(20, func(Cycle) { order = append(order, 2) })
+	q := recordingQueue(&order)
+	q.ScheduleMsg(30, Msg{A: 3})
+	q.ScheduleMsg(10, Msg{A: 1})
+	q.ScheduleMsg(20, Msg{A: 2})
 	q.RunUntil(100)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("wrong order %v", order)
@@ -144,11 +152,10 @@ func TestEventQueueOrdering(t *testing.T) {
 }
 
 func TestEventQueueTieBreakFIFO(t *testing.T) {
-	q := NewEventQueue()
 	var order []int
+	q := recordingQueue(&order)
 	for i := 0; i < 10; i++ {
-		i := i
-		q.Schedule(5, func(Cycle) { order = append(order, i) })
+		q.ScheduleMsg(5, Msg{A: i})
 	}
 	q.RunUntil(5)
 	for i, v := range order {
@@ -159,25 +166,28 @@ func TestEventQueueTieBreakFIFO(t *testing.T) {
 }
 
 func TestEventQueueRunUntilBoundary(t *testing.T) {
-	q := NewEventQueue()
-	fired := 0
-	q.Schedule(10, func(Cycle) { fired++ })
-	q.Schedule(11, func(Cycle) { fired++ })
-	if n := q.RunUntil(10); n != 1 || fired != 1 {
-		t.Fatalf("RunUntil(10) fired %d events", fired)
+	var fired []int
+	q := recordingQueue(&fired)
+	q.ScheduleMsg(10, Msg{})
+	q.ScheduleMsg(11, Msg{})
+	if n := q.RunUntil(10); n != 1 || len(fired) != 1 {
+		t.Fatalf("RunUntil(10) fired %d events", len(fired))
 	}
-	if n := q.RunUntil(11); n != 1 || fired != 2 {
-		t.Fatalf("second RunUntil fired wrong count, total %d", fired)
+	if n := q.RunUntil(11); n != 1 || len(fired) != 2 {
+		t.Fatalf("second RunUntil fired wrong count, total %d", len(fired))
 	}
 }
 
 func TestEventQueueCascade(t *testing.T) {
 	q := NewEventQueue()
 	var order []string
-	q.Schedule(5, func(now Cycle) {
-		order = append(order, "a")
-		q.Schedule(now, func(Cycle) { order = append(order, "b") })
-	})
+	q.Deliver = func(m Msg, now Cycle) {
+		order = append(order, m.Kind)
+		if m.Kind == "a" {
+			q.ScheduleMsg(now, Msg{Kind: "b"})
+		}
+	}
+	q.ScheduleMsg(5, Msg{Kind: "a"})
 	q.RunUntil(5)
 	if len(order) != 2 || order[1] != "b" {
 		t.Fatalf("cascaded event did not fire within RunUntil: %v", order)
@@ -185,13 +195,13 @@ func TestEventQueueCascade(t *testing.T) {
 }
 
 func TestEventQueueDrain(t *testing.T) {
-	q := NewEventQueue()
-	fired := 0
+	var fired []int
+	q := recordingQueue(&fired)
 	for i := 0; i < 5; i++ {
-		q.Schedule(Cycle(1000*i), func(Cycle) { fired++ })
+		q.ScheduleMsg(Cycle(1000*i), Msg{A: i})
 	}
-	if n := q.Drain(); n != 5 || fired != 5 || q.Len() != 0 {
-		t.Fatalf("drain fired %d, len %d", fired, q.Len())
+	if n := q.Drain(); n != 5 || len(fired) != 5 || q.Len() != 0 {
+		t.Fatalf("drain fired %d, len %d", len(fired), q.Len())
 	}
 }
 
@@ -223,18 +233,18 @@ func TestTickerPanicsOnZeroPeriod(t *testing.T) {
 // Property: RunUntil never fires an event scheduled after the horizon.
 func TestEventQueueHorizonProperty(t *testing.T) {
 	f := func(whens []uint16, horizon uint16) bool {
-		q := NewEventQueue()
-		late := 0
+		var fired []int
+		q := recordingQueue(&fired)
 		for _, w := range whens {
-			w := Cycle(w)
-			q.Schedule(w, func(Cycle) {
-				if w > Cycle(horizon) {
-					late++
-				}
-			})
+			q.ScheduleMsg(Cycle(w), Msg{A: int(w)})
 		}
 		q.RunUntil(Cycle(horizon))
-		return late == 0
+		for _, w := range fired {
+			if w > int(horizon) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -244,11 +254,10 @@ func TestEventQueueHorizonProperty(t *testing.T) {
 // Property: events fire in nondecreasing When order.
 func TestEventQueueMonotoneProperty(t *testing.T) {
 	f := func(whens []uint16) bool {
-		q := NewEventQueue()
-		var fired []Cycle
+		var fired []int
+		q := recordingQueue(&fired)
 		for _, w := range whens {
-			w := Cycle(w)
-			q.Schedule(w, func(Cycle) { fired = append(fired, w) })
+			q.ScheduleMsg(Cycle(w), Msg{A: int(w)})
 		}
 		q.Drain()
 		for i := 1; i < len(fired); i++ {

@@ -22,14 +22,20 @@ type TaggedKey struct {
 }
 
 // NewMemory builds a memory recorder retaining up to eventCap events
-// (<= 0 uses DefaultEventCap; pass a ring built with NewEventRing(0) via
-// Shared if you need the drop-all behavior).
+// (<= 0 uses DefaultEventCap).
 func NewMemory(eventCap int) *Memory {
 	if eventCap <= 0 {
 		eventCap = DefaultEventCap
 	}
+	m := newAggregate()
+	m.ring = NewEventRing(eventCap)
+	return m
+}
+
+// newAggregate builds a Memory holding counters and gauges only. It has no
+// event ring, so it must never receive Event; Shared wraps one.
+func newAggregate() *Memory {
 	return &Memory{
-		ring:           NewEventRing(eventCap),
 		counters:       make(map[string]uint64),
 		gauges:         make(map[string]float64),
 		taggedCounters: make(map[TaggedKey]uint64),

@@ -48,35 +48,27 @@ func (m *Memory) Snapshot() Snapshot {
 	return s
 }
 
-// Shared is a Memory recorder safe for concurrent use: every Recorder method
-// and Snapshot take one mutex. It backs long-lived processes where many
-// simulations emit into one aggregate view that is read while runs are still
-// in flight (the serving layer); one-shot campaigns keep using Memory with a
-// FanIn, which serializes writes but leaves reads to after the run.
+// Shared is a concurrent-safe aggregate of counters and gauges: every
+// Recorder method and Snapshot take one mutex. It backs long-lived processes
+// where many simulations emit into one aggregate view that is read while
+// runs are still in flight (the serving layer's /metrics). Events and
+// samples are dropped, so the aggregate stays the same size however many
+// jobs the process runs. One-shot campaigns that want those keep using
+// Memory with a FanIn, which serializes writes but leaves reads to after the
+// run.
 type Shared struct {
 	mu  sync.Mutex
 	mem *Memory
 }
 
-// NewShared builds a concurrent-safe in-memory recorder retaining up to
-// eventCap events (<= 0 uses DefaultEventCap).
-func NewShared(eventCap int) *Shared {
-	return &Shared{mem: NewMemory(eventCap)}
-}
+// NewShared builds an empty concurrent-safe aggregate.
+func NewShared() *Shared { return &Shared{mem: newAggregate()} }
 
-// Event implements Recorder.
-func (s *Shared) Event(ev Event) {
-	s.mu.Lock()
-	s.mem.Event(ev)
-	s.mu.Unlock()
-}
+// Event implements Recorder by dropping the event.
+func (s *Shared) Event(Event) {}
 
-// Sample implements Recorder.
-func (s *Shared) Sample(sm Sample) {
-	s.mu.Lock()
-	s.mem.Sample(sm)
-	s.mu.Unlock()
-}
+// Sample implements Recorder by dropping the sample.
+func (s *Shared) Sample(Sample) {}
 
 // Count implements Recorder.
 func (s *Shared) Count(name string, delta uint64) {

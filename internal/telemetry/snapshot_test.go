@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestMemorySnapshotDeepCopies(t *testing.T) {
 }
 
 func TestSharedRecorderConcurrent(t *testing.T) {
-	s := NewShared(0)
+	s := NewShared()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -40,6 +41,26 @@ func TestSharedRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestSharedRetainsNoSamples pins Shared as counters and gauges only: it
+// aggregates every job of a long-lived process, so per-quantum samples and
+// events must not accumulate in it.
+func TestSharedRetainsNoSamples(t *testing.T) {
+	s := NewShared()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 200_000; i++ {
+		s.Sample(Sample{Cycle: uint64(i), Tile: i % 16, IPC: 1})
+		s.Event(Event{Kind: KindRemap})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Fatalf("200k samples grew the heap by %d bytes; Shared must keep counters and gauges only", grown)
+	}
+}
+
 func TestPromName(t *testing.T) {
 	cases := map[string]string{
 		"delta.challenges":   "delta_challenges",
@@ -55,7 +76,7 @@ func TestPromName(t *testing.T) {
 }
 
 func TestWritePrometheusExposition(t *testing.T) {
-	s := NewShared(0)
+	s := NewShared()
 	s.Count("delta.challenges", 7)
 	s.Gauge("served.queue.depth", 3)
 	var b strings.Builder
@@ -85,7 +106,7 @@ func TestWritePrometheusExposition(t *testing.T) {
 // against concurrent WritePrometheus renders; under -race this proves the
 // whole snapshot-and-render path never reads live maps.
 func TestSharedConcurrentSampleAndExposition(t *testing.T) {
-	s := NewShared(0)
+	s := NewShared()
 	fan := NewFanIn(s)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -129,7 +150,7 @@ func TestSharedConcurrentSampleAndExposition(t *testing.T) {
 // TestWritePrometheusTagLabels pins the labeled exposition shape and
 // verifies the deprecated prefixed aliases are no longer emitted.
 func TestWritePrometheusTagLabels(t *testing.T) {
-	s := NewShared(0)
+	s := NewShared()
 	fan := NewFanIn(s)
 	fan.Tag("w2").Count("delta.challenges", 5)
 	fan.Tag("mixed").Count("delta.challenges", 2)
