@@ -92,8 +92,7 @@ func Ablations(sc Scale, mixName string) []AblationResult {
 	mix := workloads.MixByName(mixName)
 	variants := AblationVariants()
 	out := make([]AblationResult, len(variants))
-	tag := func(i int) string { return "ablation/" + variants[i].Name }
-	sc.fanOut(len(variants), tag, func(i int, vsc Scale) {
+	sc.fanOut(len(variants), func(i int) string { return "ablation/" + variants[i].Name }, func(i int, vsc Scale) {
 		params := core.DefaultParams().Scale(intervalScale)
 		ccfg := vsc.ChipConfig(16)
 		variants[i].Mutate(&params, &ccfg)
