@@ -285,7 +285,8 @@ func newSimulator(cfg Config) (*Simulator, error) {
 	ccfg.Check = cfg.Check
 	s := &Simulator{cfg: cfg, appByCore: make(map[int]snapshot.AppAssignment)}
 	pol, err := policies.Build(string(cfg.Policy), policies.BuildContext{
-		IntervalScale: cfg.TimeCompression, Params: cfg.PolicyParams[string(cfg.Policy)]})
+		IntervalScale: cfg.TimeCompression, Params: cfg.PolicyParams[string(cfg.Policy)],
+		LLCWays: ccfg.LLCWays})
 	if err != nil {
 		return nil, err
 	}

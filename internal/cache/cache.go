@@ -182,18 +182,37 @@ func New(cfg Config) *Cache {
 // SizeBytes returns the cache capacity.
 func (c *Cache) SizeBytes() int { return c.Sets * c.Ways * LineBytes }
 
-// findLine locates a valid line with the given address in a set, returning
-// its way or -1: a linear scan over the set's contiguous tag span, filtered
-// by the valid mask. The span is one or two cache lines for realistic
-// associativities and rides a single sequential stream.
-func (c *Cache) findLine(setIdx int, lineAddr uint64) int {
+// matchMask returns the set's valid ways holding lineAddr as a bitmask; its
+// lowest set bit is the way a first-match scan would find.
+func (c *Cache) matchMask(setIdx int, lineAddr uint64) uint64 {
 	base := setIdx * c.stride
-	tags := c.words[base : base+c.Ways : base+c.Ways]
-	vm := c.valid[setIdx]
-	for w := range tags {
-		if tags[w] == lineAddr && vm&(1<<uint(w)) != 0 {
-			return w
-		}
+	return equalMask(c.words[base:base+c.Ways:base+c.Ways], lineAddr) & c.valid[setIdx]
+}
+
+// equalMask returns a mask with bit w set where ws[w] == v. Each compare
+// becomes one bit without a data-dependent branch, so a scan costs the same
+// whether it matches early, late or not at all.
+func equalMask(ws []uint64, v uint64) uint64 {
+	var m uint64
+	for w := len(ws) - 1; w >= 0; w-- {
+		m = m<<1 | b2u(ws[w] == v)
+	}
+	return m
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a flag set.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// findLine locates a valid line with the given address in a set, returning
+// its way or -1.
+func (c *Cache) findLine(setIdx int, lineAddr uint64) int {
+	if m := c.matchMask(setIdx, lineAddr); m != 0 {
+		return bits.TrailingZeros64(m)
 	}
 	return -1
 }
@@ -275,23 +294,20 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) (int, bool) {
 // LookupIdx is Lookup with an explicit set index (NUCA-interleaved layouts).
 func (c *Cache) LookupIdx(setIdx int, lineAddr uint64, write bool) (int, bool) {
 	c.Stats.Accesses++
-	base := setIdx * c.stride
-	tags := c.words[base : base+c.Ways : base+c.Ways]
-	vm := c.valid[setIdx]
-	for w := range tags {
-		if tags[w] == lineAddr && vm&(1<<uint(w)) != 0 {
-			idx := base + w
-			c.clk++
-			c.words[idx+c.Ways] = c.clk
-			if write {
-				c.dirty[setIdx] |= 1 << uint(w)
-			}
-			c.Stats.Hits++
-			return idx, true
-		}
+	m := c.matchMask(setIdx, lineAddr)
+	if m == 0 {
+		c.Stats.Misses++
+		return -1, false
 	}
-	c.Stats.Misses++
-	return -1, false
+	w := bits.TrailingZeros64(m)
+	idx := setIdx*c.stride + w
+	c.clk++
+	c.words[idx+c.Ways] = c.clk
+	if write {
+		c.dirty[setIdx] |= 1 << uint(w)
+	}
+	c.Stats.Hits++
+	return idx, true
 }
 
 // Probe reports whether the line is present without touching LRU state or
@@ -359,62 +375,95 @@ func (c *Cache) InsertIdx(setIdx int, lineAddr uint64, owner int, write bool, ma
 	if mask == 0 {
 		panic("cache: insertion with empty way mask")
 	}
+	way := c.victim(setIdx, mask)
+	evicted, hadVictim := c.evict(setIdx, way, true)
+	return c.place(setIdx, way, lineAddr, owner, write), evicted, hadVictim
+}
+
+// Fill installs a line at its natural set in any way, unowned, clean unless
+// write: the private-cache refill. It picks the same victim and leaves the
+// same state as Insert(lineAddr, NoOwner, write, AllMask()), but builds the
+// evicted Line only when the OnEvict hook or owner tracking consumes it.
+func (c *Cache) Fill(lineAddr uint64, write bool) {
+	c.guardMutation()
+	setIdx := c.SetIndex(lineAddr)
+	way := c.victim(setIdx, c.allMask)
+	c.evict(setIdx, way, false)
+	c.place(setIdx, way, lineAddr, NoOwner, write)
+}
+
+// victim picks the way an insertion restricted to mask (non-empty, within
+// allMask) displaces: the lowest-numbered invalid allowed way, otherwise the
+// least recently used allowed way (lowest recency stamp, lowest way on a
+// tie).
+func (c *Cache) victim(setIdx int, mask uint64) int {
+	if inv := mask &^ c.valid[setIdx]; inv != 0 {
+		return bits.TrailingZeros64(inv)
+	}
 	base := setIdx * c.stride
-	validMask := c.valid[setIdx]
-	// Prefer the lowest-numbered invalid allowed way; otherwise the LRU
-	// (lowest recency stamp — stamps are unique, so the victim is exact).
-	var victim int
-	if inv := mask &^ validMask; inv != 0 {
-		victim = bits.TrailingZeros64(inv)
-	} else if used := c.words[base+c.Ways : base+2*c.Ways : base+2*c.Ways]; mask == c.allMask {
-		// Unrestricted insertion (private caches, shared policies): a plain
-		// linear min-scan over the contiguous stamp span, no bit iteration.
-		victim = 0
+	used := c.words[base+c.Ways : base+2*c.Ways : base+2*c.Ways]
+	if mask == c.allMask {
+		// Unrestricted insertion (private caches, shared policies): a
+		// branch-free min over the contiguous stamp span, then the lowest
+		// way holding it.
 		oldest := used[0]
-		for w := 1; w < len(used); w++ {
-			if used[w] < oldest {
-				oldest = used[w]
-				victim = w
-			}
+		for _, u := range used[1:] {
+			oldest = min(oldest, u)
 		}
-	} else {
-		victim = -1
-		var oldest uint64 = ^uint64(0)
-		for m := mask; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros64(m)
-			if used[w] < oldest {
-				oldest = used[w]
-				victim = w
-			}
+		return bits.TrailingZeros64(equalMask(used, oldest))
+	}
+	victim := -1
+	var oldest uint64 = ^uint64(0)
+	for m := mask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if used[w] < oldest {
+			oldest = used[w]
+			victim = w
 		}
 	}
-	vIdx := base + victim
-	vBit := uint64(1) << uint(victim)
-	var evicted Line
-	hadVictim := false
-	if validMask&vBit != 0 {
-		evicted = c.lineAt(setIdx, victim)
-		hadVictim = true
-		c.Stats.Evictions++
-		if evicted.Dirty {
-			c.Stats.DirtyEvicts++
-		}
-		c.noteRemoval(evicted)
-		c.fireEvict(evicted)
+	return victim
+}
+
+// evict accounts for displacing way of setIdx when it holds a valid line:
+// eviction counters, occupancy and the OnEvict hook. It assembles the
+// departing Line only when needLine is set or the hook or occupancy
+// accounting consumes it; otherwise the returned Line is zero.
+func (c *Cache) evict(setIdx, way int, needLine bool) (Line, bool) {
+	bit := uint64(1) << uint(way)
+	if c.valid[setIdx]&bit == 0 {
+		return Line{}, false
 	}
+	c.Stats.Evictions++
+	if c.dirty[setIdx]&bit != 0 {
+		c.Stats.DirtyEvicts++
+	}
+	if !needLine && c.OnEvict == nil && !c.trackOwners {
+		return Line{}, true
+	}
+	ln := c.lineAt(setIdx, way)
+	c.noteRemoval(ln)
+	c.fireEvict(ln)
+	return ln, true
+}
+
+// place writes a freshly inserted line into (setIdx, way) as most recently
+// used and returns its flat index.
+func (c *Cache) place(setIdx, way int, lineAddr uint64, owner int, write bool) int {
+	idx := setIdx*c.stride + way
+	bit := uint64(1) << uint(way)
 	c.clk++
-	c.words[vIdx] = lineAddr
-	c.words[vIdx+c.Ways] = c.clk
-	c.words[vIdx+2*c.Ways] = 0
-	c.words[vIdx+3*c.Ways] = uint64(uint16(int16(owner)))
-	c.valid[setIdx] |= vBit
+	c.words[idx] = lineAddr
+	c.words[idx+c.Ways] = c.clk
+	c.words[idx+2*c.Ways] = 0
+	c.words[idx+3*c.Ways] = uint64(uint16(int16(owner)))
+	c.valid[setIdx] |= bit
 	if write {
-		c.dirty[setIdx] |= vBit
+		c.dirty[setIdx] |= bit
 	} else {
-		c.dirty[setIdx] &^= vBit
+		c.dirty[setIdx] &^= bit
 	}
 	c.noteInsert(owner)
-	return vIdx, evicted, hadVictim
+	return idx
 }
 
 // clearSlot zeroes every per-line field of a slot and drops its valid/dirty

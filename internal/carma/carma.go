@@ -76,9 +76,9 @@ type Policy struct {
 }
 
 // Validate reports a configuration New would reject; zero-valued optional
-// knobs take their defaults and are valid. Whether LotWays divides the LLC
-// ways, and whether ReserveLots leaves a lot to auction, depend on the chip
-// and are checked when the policy attaches.
+// knobs take their defaults and are valid. Whether the lots fit the LLC
+// depends on the chip: ValidateWays checks that once the associativity is
+// known, and Attach panics on a chip it rejects.
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.Interval == 0:
@@ -91,11 +91,22 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// New builds the policy, panicking on a configuration Validate rejects.
-func New(cfg Config) *Policy {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
+// ValidateWays reports whether the lot geometry fits banks of the given
+// associativity: LotWays must divide it, and ReserveLots must leave at
+// least one lot per bank to auction.
+func (cfg Config) ValidateWays(ways int) error {
+	cfg = cfg.withDefaults()
+	if ways%cfg.LotWays != 0 {
+		return fmt.Errorf("carma: %d ways not divisible into lots of %d", ways, cfg.LotWays)
 	}
+	if lots := ways / cfg.LotWays; cfg.ReserveLots >= lots {
+		return fmt.Errorf("carma: %d reserved lots leave nothing to auction of %d", cfg.ReserveLots, lots)
+	}
+	return nil
+}
+
+// withDefaults fills the zero-valued optional knobs.
+func (cfg Config) withDefaults() Config {
 	if cfg.LotWays == 0 {
 		cfg.LotWays = 4
 	}
@@ -111,7 +122,15 @@ func New(cfg Config) *Policy {
 	if cfg.BidScale == 0 {
 		cfg.BidScale = 100
 	}
-	return &Policy{cfg: cfg}
+	return cfg
+}
+
+// New builds the policy, panicking on a configuration Validate rejects.
+func New(cfg Config) *Policy {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	return &Policy{cfg: cfg.withDefaults()}
 }
 
 // Name implements chip.Policy.
@@ -123,13 +142,10 @@ func (p *Policy) Attach(c *chip.Chip) {
 	p.c = c
 	p.n = c.Cores()
 	p.w = c.Ways()
-	if p.w%p.cfg.LotWays != 0 {
-		panic(fmt.Sprintf("carma: %d ways not divisible into lots of %d", p.w, p.cfg.LotWays))
+	if err := p.cfg.ValidateWays(p.w); err != nil {
+		panic(err.Error())
 	}
 	p.lots = p.w / p.cfg.LotWays
-	if p.cfg.ReserveLots >= p.lots {
-		panic(fmt.Sprintf("carma: %d reserved lots leave nothing to auction of %d", p.cfg.ReserveLots, p.lots))
-	}
 	p.tick = sim.NewTicker(p.cfg.Interval, p.cfg.Interval)
 	p.lotOwner = make([][]int16, p.n)
 	p.budget = make([]float64, p.n)

@@ -181,3 +181,24 @@ func TestCarmaValidationPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestValidateWays(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		ways int
+		ok   bool
+	}{
+		{Config{Interval: 1}, 16, true}, // defaults: 4-way lots, one reserved
+		{Config{Interval: 1, LotWays: 5}, 16, false},
+		{Config{Interval: 1, LotWays: 3}, 16, false},
+		{Config{Interval: 1, ReserveLots: 4}, 16, false},
+		{Config{Interval: 1, ReserveLots: 3}, 16, true},
+		{Config{Interval: 1, LotWays: 8, ReserveLots: 2}, 16, false},
+		{Config{Interval: 1, LotWays: 8}, 16, true},
+		{Config{Interval: 1, LotWays: 4}, 4, false}, // a single lot is all reserve
+	} {
+		if err := tc.cfg.ValidateWays(tc.ways); (err == nil) != tc.ok {
+			t.Errorf("%+v on %d ways: err = %v, want ok=%v", tc.cfg, tc.ways, err, tc.ok)
+		}
+	}
+}

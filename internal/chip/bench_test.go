@@ -95,6 +95,19 @@ func BenchmarkChipRun(b *testing.B) {
 	}
 }
 
+// BenchmarkChipNew measures building a 64-core chip at the facade's UMON
+// sampling (one set in four): the per-tile state every 64-core run pays
+// before its first access. scripts/bench_regression.sh gates its B/op so
+// shadow-tag or cache storage that is provisioned eagerly again fails CI.
+func BenchmarkChipNew(b *testing.B) {
+	cfg := DefaultConfig(64)
+	cfg.UmonSampleEvery = 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(cfg, NewSnuca())
+	}
+}
+
 // BenchmarkChipRunWarm is the same run with the warmup simulated
 // instruction-by-instruction (the pre-fast-forward behaviour).
 func BenchmarkChipRunWarm(b *testing.B) {

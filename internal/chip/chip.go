@@ -912,7 +912,7 @@ func (c *Chip) access(i int, line uint64, write bool) uint64 {
 	// L2.
 	if _, hit := t.L2.Lookup(line, write); hit {
 		lat := c.Cfg.Lat.L1Hit + c.Cfg.Lat.L2Tag + c.Cfg.Lat.L2Data
-		t.L1.Insert(line, cache.NoOwner, write, t.L1.AllMask())
+		t.L1.Fill(line, write)
 		return lat
 	}
 	// L2 miss: the UMON observes the LLC-bound stream.
@@ -993,8 +993,8 @@ func (c *Chip) insertMask(core, bank int, shared bool) uint64 {
 
 // fillPrivate installs the line into the requesting core's L2 and L1.
 func (c *Chip) fillPrivate(t *Tile, line uint64, write bool) {
-	t.L2.Insert(line, cache.NoOwner, write, t.L2.AllMask())
-	t.L1.Insert(line, cache.NoOwner, write, t.L1.AllMask())
+	t.L2.Fill(line, write)
+	t.L1.Fill(line, write)
 }
 
 // markSharer records core in an LLC line's directory bits. idx is the flat

@@ -137,7 +137,7 @@ func (c *Chip) prefill(i int, t *Tile, loc trace.Locality, nAcc float64) {
 		if !ok {
 			continue
 		}
-		t.L2.Insert(line, cache.NoOwner, false, t.L2.AllMask())
+		t.L2.Fill(line, false)
 		c.markSharer(bt, idx, i)
 	}
 
@@ -149,7 +149,7 @@ func (c *Chip) prefill(i int, t *Tile, loc trace.Locality, nAcc float64) {
 	for k := n1 - 1; k >= 0; k-- {
 		line := t.base + hot[k]
 		if t.L2.Probe(line) {
-			t.L1.Insert(line, cache.NoOwner, false, t.L1.AllMask())
+			t.L1.Fill(line, false)
 		}
 	}
 }

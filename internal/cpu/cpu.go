@@ -93,10 +93,13 @@ func (c *Core) AdvanceNonMem(n int) {
 func (c *Core) Memory(lat uint64) {
 	c.Stats.Instructions++
 	c.Stats.MemAccesses++
-	// The access consumes a dispatch slot like any instruction.
+	// The access consumes a dispatch slot like any instruction; the
+	// queue only spills into the clock once it fills the dispatch width.
 	c.dispatchQ++
-	c.cycle += c.dispatchQ / uint64(c.cfg.DispatchWidth)
-	c.dispatchQ %= uint64(c.cfg.DispatchWidth)
+	if w := uint64(c.cfg.DispatchWidth); c.dispatchQ >= w {
+		c.cycle += c.dispatchQ / w
+		c.dispatchQ %= w
+	}
 
 	if lat <= c.cfg.HideLatency {
 		return

@@ -95,7 +95,9 @@ func (s Scale) NewPolicy(name string) chip.Policy {
 		cfg.Interval = cfg.Interval * 100 / intervalScale // 100 ms equivalent
 		return central.NewIdeal(cfg)
 	}
-	p, err := policies.Build(name, policies.BuildContext{IntervalScale: intervalScale})
+	// Bank associativity is Table II's at every core count.
+	p, err := policies.Build(name, policies.BuildContext{
+		IntervalScale: intervalScale, LLCWays: s.ChipConfig(1).LLCWays})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}

@@ -33,6 +33,11 @@ type BuildContext struct {
 	// Params optionally overrides the policy's parameters as JSON,
 	// unmarshaled onto the scale-resolved defaults.
 	Params json.RawMessage
+	// LLCWays is the associativity of one LLC bank, taken from the chip
+	// the policy will attach to, so builders can reject parameters that do
+	// not fit its geometry. 0 means unknown: such checks then happen when
+	// the policy attaches.
+	LLCWays int
 }
 
 // scale divides a paper-scale interval, clamped to one cycle.
@@ -163,6 +168,11 @@ func init() {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
+		if ctx.LLCWays > 0 {
+			if err := cfg.ValidateWays(ctx.LLCWays); err != nil {
+				return nil, err
+			}
+		}
 		return carma.New(cfg), nil
 	})
 	Register("bankbw", func(ctx BuildContext) (chip.Policy, error) {
@@ -182,7 +192,7 @@ func init() {
 		if err := p.Config.Validate(); err != nil {
 			return nil, err
 		}
-		base, err := Build(p.Base, BuildContext{IntervalScale: ctx.IntervalScale, Params: p.BaseParams})
+		base, err := Build(p.Base, BuildContext{IntervalScale: ctx.IntervalScale, Params: p.BaseParams, LLCWays: ctx.LLCWays})
 		if err != nil {
 			return nil, fmt.Errorf("policies: bankbw base: %w", err)
 		}

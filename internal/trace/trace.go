@@ -174,6 +174,10 @@ type Shaper struct {
 	cfg   ShaperConfig
 	rng   *sim.Rng
 	left  int // accesses remaining in the current burst
+
+	// Derived from cfg once at construction.
+	perAccess float64 // mean non-mem instructions per access: 1/MemFraction - 1
+	burstP    float64 // geometric burst-length parameter: 1/Burst
 }
 
 // NewShaper validates the config and wraps gen.
@@ -187,7 +191,13 @@ func NewShaper(gen Generator, cfg ShaperConfig) *Shaper {
 	if cfg.Burst < 1 {
 		cfg.Burst = 1
 	}
-	return &Shaper{inner: gen, cfg: cfg, rng: sim.NewRng(cfg.Seed ^ 0xb5297a4d)}
+	return &Shaper{
+		inner:     gen,
+		cfg:       cfg,
+		rng:       sim.NewRng(cfg.Seed ^ 0xb5297a4d),
+		perAccess: 1/cfg.MemFraction - 1,
+		burstP:    1 / cfg.Burst,
+	}
 }
 
 // Next produces the next paced access. The average instructions-per-access
@@ -196,17 +206,16 @@ func NewShaper(gen Generator, cfg ShaperConfig) *Shaper {
 func (s *Shaper) Next() Access {
 	a := s.inner.Next()
 	a.Write = s.rng.Float64() < s.cfg.WriteFraction
-	perAccess := 1/s.cfg.MemFraction - 1 // mean non-mem instructions per access
 	if s.left > 0 {
 		s.left--
 		a.Gap = 0
 		return a
 	}
 	// Start a new burst: geometric length around the target.
-	burstLen := 1 + s.rng.Geometric(1/s.cfg.Burst)
+	burstLen := 1 + s.rng.Geometric(s.burstP)
 	s.left = burstLen - 1
 	// The whole burst's non-mem budget is spent up front.
-	gap := perAccess * float64(burstLen)
+	gap := s.perAccess * float64(burstLen)
 	a.Gap = int(gap)
 	// Randomize the remainder to avoid lockstep artifacts.
 	if frac := gap - float64(int(gap)); frac > 0 && s.rng.Float64() < frac {

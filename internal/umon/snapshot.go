@@ -16,7 +16,9 @@ func (m *Monitor) Snapshot() snapshot.Umon {
 }
 
 // SnapshotInto is Snapshot writing into dst, reusing its slices when they
-// are large enough; the result equals a fresh Snapshot's.
+// are large enough; the result equals a fresh Snapshot's. Freshly captured
+// stacks are sized by their length, and empty ones stay non-nil so they
+// encode as [] rather than null.
 func (m *Monitor) SnapshotInto(dst *snapshot.Umon) {
 	stacks := dst.Stacks
 	if stacks == nil || len(stacks) != len(m.stacks) {
@@ -24,7 +26,7 @@ func (m *Monitor) SnapshotInto(dst *snapshot.Umon) {
 	}
 	for i, st := range m.stacks {
 		if stacks[i] == nil {
-			stacks[i] = make([]uint64, 0, m.cfg.MaxWays)
+			stacks[i] = make([]uint64, 0, len(st))
 		}
 		stacks[i] = append(stacks[i][:0], st...)
 	}
@@ -48,10 +50,21 @@ func (m *Monitor) Restore(s snapshot.Umon) error {
 	if len(s.HitsBits) != m.buckets || len(s.LastHitsBits) != m.buckets {
 		return fmt.Errorf("umon: snapshot has %d hit buckets, monitor has %d", len(s.HitsBits), m.buckets)
 	}
+	deepest := 0
 	for i, st := range s.Stacks {
 		if len(st) > m.cfg.MaxWays {
 			return fmt.Errorf("umon: snapshot stack %d deeper than MaxWays %d", i, m.cfg.MaxWays)
 		}
+		deepest = max(deepest, len(st))
+	}
+	if deepest > m.depth {
+		depth := m.depth
+		for depth < deepest {
+			depth = min(2*depth, m.cfg.MaxWays)
+		}
+		m.grow(depth)
+	}
+	for i, st := range s.Stacks {
 		m.stacks[i] = append(m.stacks[i][:0], st...)
 	}
 	bitsToFloats(m.hits, s.HitsBits)

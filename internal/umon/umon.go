@@ -9,6 +9,13 @@
 // have hit in any cache with more than d ways allocated to this core, so
 // per-depth hit counters directly yield the miss curve misses(w).
 //
+// The hardware provisions MaxWays tags per sampled set (TagEntries reports
+// that), but the model stores only what the stream has touched: the stacks
+// are views into one slab whose per-stack depth starts at initialDepth and
+// doubles when a stack outgrows it, capped at MaxWays. Depth is storage, not
+// behaviour — a stack holds exactly the tags it would in a fully provisioned
+// array.
+//
 // DELTA uses the *coarse-grained* variant (Section II-B3): hit counters are
 // kept at a granularity of several ways (4 in the paper), which reduces
 // counter overhead; the curve is linearly interpolated inside a bucket.
@@ -44,8 +51,11 @@ type Monitor struct {
 	buckets int
 	scale   float64 // multiply sampled counts to estimate full-cache counts
 
-	// stacks[i] is the LRU stack (most-recent first) for sampled set i.
+	// stacks[i] is the LRU stack (most-recent first) for sampled set i: a
+	// view into slot i of one slab of depth-word slots, its capacity ending
+	// at the slot's end.
 	stacks [][]uint64
+	depth  int
 
 	// Cumulative counters; Epoch() snapshots and diffs them.
 	hits     []float64 // per bucket, scaled
@@ -79,17 +89,31 @@ func New(cfg Config) *Monitor {
 		hits:     make([]float64, buckets),
 		lastHits: make([]float64, buckets),
 	}
-	for i := range m.stacks {
-		m.stacks[i] = make([]uint64, 0, cfg.MaxWays)
-	}
+	m.grow(min(initialDepth, cfg.MaxWays))
 	return m
+}
+
+// initialDepth is the per-stack slab depth a new monitor starts with.
+const initialDepth = 8
+
+// grow re-provisions the slab at the given per-stack depth (never below the
+// deepest stack) and re-points every stack view into it, keeping contents.
+func (m *Monitor) grow(depth int) {
+	slab := make([]uint64, len(m.stacks)*depth)
+	for i, st := range m.stacks {
+		lo := i * depth
+		n := copy(slab[lo:lo+depth], st)
+		m.stacks[i] = slab[lo : lo+n : lo+depth]
+	}
+	m.depth = depth
 }
 
 // MaxWays returns the largest allocation the monitor evaluates.
 func (m *Monitor) MaxWays() int { return m.cfg.MaxWays }
 
-// TagEntries returns the number of shadow tags the monitor provisions; used
-// by the overhead analysis.
+// TagEntries returns the number of shadow tags the modelled hardware
+// provisions (MaxWays per sampled set), whatever depth the slab has grown
+// to; used by the overhead analysis.
 func (m *Monitor) TagEntries() int { return len(m.stacks) * m.cfg.MaxWays }
 
 // Access feeds one LLC-bound access (an L2 miss) into the monitor.
@@ -98,7 +122,8 @@ func (m *Monitor) Access(lineAddr uint64) {
 	if set&(uint64(m.cfg.SampleEvery)-1) != 0 {
 		return // not a sampled set
 	}
-	stack := m.stacks[set/uint64(m.cfg.SampleEvery)]
+	k := set / uint64(m.cfg.SampleEvery)
+	stack := m.stacks[k]
 	m.accesses += m.scale
 	// Search the LRU stack.
 	depth := -1
@@ -115,12 +140,16 @@ func (m *Monitor) Access(lineAddr uint64) {
 		stack[0] = lineAddr
 	} else {
 		m.misses += m.scale
-		if len(stack) < m.cfg.MaxWays {
-			stack = append(stack, 0)
+		if n := len(stack); n < m.cfg.MaxWays {
+			if n == cap(stack) {
+				m.grow(min(2*m.depth, m.cfg.MaxWays))
+				stack = m.stacks[k]
+			}
+			stack = stack[:n+1]
 		}
 		copy(stack[1:], stack)
 		stack[0] = lineAddr
-		m.stacks[set/uint64(m.cfg.SampleEvery)] = stack
+		m.stacks[k] = stack
 	}
 }
 
@@ -130,8 +159,8 @@ func (m *Monitor) Access(lineAddr uint64) {
 // `misses` missed. The fast-forward path uses it to stand in for simulated
 // warmup: the first Epoch after seeding returns exactly the seeded curve.
 // The shadow-tag stacks are left empty and rebuild online within a few
-// hundred post-seed accesses; counters passed here must already be full-cache
-// estimates (Seed applies no sampling scale).
+// hundred post-seed accesses (the slab keeps its depth); counters passed here
+// must already be full-cache estimates (Seed applies no sampling scale).
 func (m *Monitor) Seed(hits []float64, misses, accesses float64) {
 	if len(hits) > m.buckets {
 		panic(fmt.Sprintf("umon: seed with %d buckets, monitor has %d", len(hits), m.buckets))
@@ -153,8 +182,8 @@ func (m *Monitor) Seed(hits []float64, misses, accesses float64) {
 }
 
 // Reset returns the monitor to its just-constructed state: shadow-tag stacks
-// emptied and every cumulative counter (and the Epoch window baseline)
-// zeroed. The chip calls it when a tile's workload changes — arrival,
+// emptied (the slab keeps its depth) and every cumulative counter (and the
+// Epoch window baseline) zeroed. The chip calls it when a tile's workload changes — arrival,
 // departure or migration — so the first post-event Epoch reflects only the
 // new occupant's accesses rather than diffing against a dead window.
 func (m *Monitor) Reset() {

@@ -1,6 +1,9 @@
 package umon
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -218,5 +221,201 @@ func TestCurveBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// paper64 is the 64-core chip's monitor geometry: allocations up to 768
+// ways (24 MB), 512-set banks, one set in four sampled.
+func paper64() Config { return Config{MaxWays: 768, Granularity: 4, SetBits: 9, SampleEvery: 4} }
+
+// deepest returns the length of the monitor's longest stack.
+func deepest(m *Monitor) int {
+	d := 0
+	for _, st := range m.stacks {
+		d = max(d, len(st))
+	}
+	return d
+}
+
+// checkDepth asserts the slab's per-stack depth is exactly what doubling
+// from initialDepth needs for the deepest stack: never past it (beyond one
+// doubling) and never past MaxWays.
+func checkDepth(t *testing.T, m *Monitor) {
+	t.Helper()
+	d := deepest(m)
+	if m.depth > m.cfg.MaxWays {
+		t.Fatalf("depth %d exceeds MaxWays %d", m.depth, m.cfg.MaxWays)
+	}
+	if d > m.depth {
+		t.Fatalf("deepest stack %d overflows depth %d", d, m.depth)
+	}
+	if d <= initialDepth {
+		if m.depth != min(initialDepth, m.cfg.MaxWays) {
+			t.Fatalf("depth %d grew with deepest stack only %d", m.depth, d)
+		}
+	} else if m.depth/2 >= d {
+		t.Fatalf("depth %d more than doubles deepest stack %d", m.depth, d)
+	}
+	for i, st := range m.stacks {
+		if cap(st) != m.depth {
+			t.Fatalf("stack %d has capacity %d, slab depth %d", i, cap(st), m.depth)
+		}
+	}
+}
+
+func TestStacksGrowOnDemand(t *testing.T) {
+	m := New(paper64())
+	if m.depth > 8 {
+		t.Fatalf("fresh 64-core monitor starts at depth %d, want <= 8", m.depth)
+	}
+	checkDepth(t, m)
+	if got, want := m.TagEntries(), 128*768; got != want {
+		t.Fatalf("TagEntries %d, want the hardware's %d", got, want)
+	}
+	r := sim.NewRng(7)
+	sets := uint64(1) << 9
+	// Working sets of growing size per sampled set push the deepest stack
+	// through every doubling and finally past MaxWays.
+	for _, lines := range []uint64{4, 8, 9, 40, 300, 1000} {
+		for i := 0; i < 4*int(lines)*16; i++ {
+			m.Access(r.Uint64n(lines)*sets + uint64(r.Intn(16))*4)
+		}
+		checkDepth(t, m)
+	}
+	if deepest(m) != 768 || m.depth != 768 {
+		t.Fatalf("deepest %d, depth %d; want both capped at 768", deepest(m), m.depth)
+	}
+	// Reset and Seed empty the stacks but keep the slab.
+	m.Reset()
+	if m.depth != 768 || deepest(m) != 0 {
+		t.Fatalf("after Reset depth %d, deepest %d", m.depth, deepest(m))
+	}
+	m.Seed([]float64{1}, 2, 3)
+	if m.depth != 768 || deepest(m) != 0 {
+		t.Fatalf("after Seed depth %d, deepest %d", m.depth, deepest(m))
+	}
+}
+
+func TestFreshSnapshotEncodesEmptyStacks(t *testing.T) {
+	s := New(paper64()).Snapshot()
+	if len(s.Stacks) != 128 {
+		t.Fatalf("%d stacks, want 128", len(s.Stacks))
+	}
+	raw, err := json.Marshal(s.Stacks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[" + strings.TrimSuffix(strings.Repeat("[],", 128), ",") + "]"; string(raw) != want {
+		t.Fatalf("fresh stacks marshal as %s, want every stack []", raw)
+	}
+}
+
+func TestRestoreDeeperSnapshot(t *testing.T) {
+	cfg := Config{MaxWays: 64, Granularity: 4, SetBits: 4, SampleEvery: 2}
+	// 12 lines per set needs one doubling, 50 needs three.
+	for _, perSet := range []int{12, 50} {
+		src := New(cfg)
+		r := sim.NewRng(uint64(perSet))
+		for i := 0; i < 20000; i++ {
+			src.Access(uint64(r.Intn(16 * perSet)))
+		}
+		if src.depth <= initialDepth {
+			t.Fatalf("source stayed at depth %d; the test needs a grown slab", src.depth)
+		}
+		snap := src.Snapshot()
+
+		dst := New(cfg)
+		if err := dst.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		checkDepth(t, dst)
+		if !reflect.DeepEqual(dst.Snapshot(), snap) {
+			t.Fatalf("%d lines/set: restored monitor does not snapshot back to the source", perSet)
+		}
+		// Both continue identically.
+		for i := 0; i < 5000; i++ {
+			a := uint64(r.Intn(16 * 80))
+			src.Access(a)
+			dst.Access(a)
+		}
+		if !reflect.DeepEqual(dst.Snapshot(), src.Snapshot()) {
+			t.Fatalf("%d lines/set: restored monitor diverges from the source", perSet)
+		}
+		checkDepth(t, dst)
+	}
+}
+
+// refMonitor is the reference model for Access: one move-to-front list per
+// sampled set, each a plain slice searched linearly and truncated at
+// MaxWays, with unscaled hit and miss counts.
+type refMonitor struct {
+	cfg    Config
+	lists  map[uint64][]uint64
+	hits   []int
+	misses int
+}
+
+func (r *refMonitor) access(a uint64) {
+	set := a % (1 << r.cfg.SetBits)
+	if set%uint64(r.cfg.SampleEvery) != 0 {
+		return
+	}
+	l := r.lists[set]
+	for d, tag := range l {
+		if tag == a {
+			r.hits[d/r.cfg.Granularity]++
+			r.lists[set] = append([]uint64{a}, append(l[:d:d], l[d+1:]...)...)
+			return
+		}
+	}
+	r.misses++
+	l = append([]uint64{a}, l...)
+	if len(l) > r.cfg.MaxWays {
+		l = l[:r.cfg.MaxWays]
+	}
+	r.lists[set] = l
+}
+
+func TestAccessMatchesMoveToFrontReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{MaxWays: 768, Granularity: 4, SetBits: 9, SampleEvery: 4},
+		{MaxWays: 20, Granularity: 1, SetBits: 3, SampleEvery: 1},
+		{MaxWays: 6, Granularity: 4, SetBits: 2, SampleEvery: 2},
+	} {
+		m := New(cfg)
+		ref := &refMonitor{cfg: cfg, lists: map[uint64][]uint64{}, hits: make([]int, m.buckets)}
+		r := sim.NewRng(uint64(cfg.MaxWays))
+		sets := 1 << cfg.SetBits
+		for i := 0; i < 60000; i++ {
+			// A hot core, a warm region and cold singletons, so hits land
+			// at every depth and some stacks overflow MaxWays.
+			var a uint64
+			switch x := r.Intn(10); {
+			case x < 5:
+				a = uint64(r.Intn(sets * 4))
+			case x < 9:
+				a = uint64(r.Intn(sets * cfg.MaxWays * 2))
+			default:
+				a = uint64(sets*cfg.MaxWays*4 + i)
+			}
+			m.Access(a)
+			ref.access(a)
+		}
+		scale := float64(cfg.SampleEvery)
+		for b, h := range ref.hits {
+			if m.hits[b] != float64(h)*scale {
+				t.Fatalf("%+v: bucket %d hits %v, reference %v", cfg, b, m.hits[b], float64(h)*scale)
+			}
+		}
+		if m.misses != float64(ref.misses)*scale {
+			t.Fatalf("%+v: misses %v, reference %v", cfg, m.misses, float64(ref.misses)*scale)
+		}
+		for k, st := range m.stacks {
+			want := ref.lists[uint64(k*cfg.SampleEvery)]
+			if len(st) != len(want) || (len(st) > 0 && !reflect.DeepEqual(st, want)) {
+				t.Fatalf("%+v: stack %d = %v, reference %v", cfg, k, st, want)
+			}
+		}
+		checkDepth(t, m)
 	}
 }

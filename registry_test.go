@@ -172,6 +172,36 @@ func TestPolicyParamsOutOfRangeRejected(t *testing.T) {
 	}
 }
 
+// TestCARMAGeometryRejected: lot geometries that do not fit the chip's
+// 16-way banks — lots that do not divide the ways, or reserved lots that
+// leave nothing to auction — are errors from New rather than panics when
+// the policy attaches, whether CARMA runs alone or as bankbw's base.
+func TestCARMAGeometryRejected(t *testing.T) {
+	for _, bad := range []map[string]int{
+		{"LotWays": 3},
+		{"ReserveLots": 4},
+		{"LotWays": 8, "ReserveLots": 2},
+	} {
+		for _, tc := range []struct {
+			policy PolicyKind
+			params any
+		}{
+			{PolicyCARMA, bad},
+			{PolicyBankBW, map[string]any{"Base": "carma", "BaseParams": bad}},
+		} {
+			_, err := New(WithCores(16), WithPolicy(tc.policy), WithPolicyParams(tc.policy, tc.params))
+			if err == nil || !strings.Contains(err.Error(), "carma") {
+				t.Errorf("%s %v: err = %v, want a carma geometry error", tc.policy, tc.params, err)
+			}
+		}
+	}
+	// A geometry that fits still builds.
+	if _, err := New(WithCores(16), WithPolicy(PolicyCARMA),
+		WithPolicyParams(PolicyCARMA, map[string]int{"LotWays": 8, "ReserveLots": 1})); err != nil {
+		t.Fatalf("8-way lots with one reserved: %v", err)
+	}
+}
+
 // Compile-time checks that the new policies satisfy the facade aliases.
 var (
 	_ Policy = (*lfoc.Policy)(nil)
