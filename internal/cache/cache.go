@@ -6,13 +6,18 @@
 // inclusive back-invalidation hooks and the bulk range-invalidation walk that
 // DELTA's remapping relies on.
 //
-// The array is stored structure-of-arrays: parallel tag/owner/sharer/recency
-// slices indexed by set*Ways+way, with per-set valid and dirty bitmasks. A
-// set's tags occupy one contiguous 64-byte span (8 ways × 8 bytes), so a
-// lookup touches a single cache line of tag storage plus the valid mask,
-// instead of striding across Ways pointer-heavy structs. Positions are
-// exposed to callers as flat indices ("flat index" below = set*Ways+way);
-// Line remains the value type handed to eviction hooks and predicates.
+// The array is stored structure-of-arrays. Every cache keeps, per set, one
+// contiguous block of tags followed by recency stamps, plus per-set valid
+// and dirty bitmasks; an 8-way set's tags occupy one 64-byte span, so a
+// lookup touches a single cache line of tag storage plus the valid mask.
+// Only owner-tracking caches (the LLC banks, where the paper's directory
+// lives) add directory state: an int16 owner per line and a sharer mask per
+// line packed at the narrowest power-of-two width that holds one bit per
+// partition (8 bits minimum, 16 at 16 cores, 64 at 64). Private caches hold
+// no directory and read back Owner NoOwner and no sharers. Positions are
+// exposed to callers as flat indices, the line index set*Ways+way, which
+// also indexes the directory arrays; Line remains the value type handed to
+// eviction hooks and predicates.
 //
 // Throughout the simulator addresses are *line addresses*: the byte address
 // shifted right by 6 (64-byte lines, Table II).
@@ -31,8 +36,9 @@ const LineBytes = 64
 const NoOwner = -1
 
 // Line is one cache line's metadata, assembled on demand from the parallel
-// arrays. Sharers is only maintained for caches acting as LLC banks with an
-// in-cache directory.
+// arrays. Owner and Sharers are stored only by caches acting as LLC banks
+// with an in-cache directory; other caches report Owner NoOwner for a valid
+// line (0 for an invalid one) and no sharers.
 //
 // Owner is the partition that *inserted* the line and is attribution-stable
 // for the line's lifetime: a hit from another partition never reattributes
@@ -94,20 +100,13 @@ type EvictFn func(line Line)
 type Cache struct {
 	Sets, Ways int
 
-	// words holds the per-set parallel slices, tiled so one set's state is
-	// one contiguous block of 4×Ways words:
-	// [tags | used stamps | sharers | owners]. A lookup scans the tag span
-	// and its stamp write lands a few cache lines later in the same block,
-	// and eviction assembles the departing Line from the tail of the same
-	// block, so the whole access rides one sequential stream instead of
-	// scattering point misses across separate arrays. Flat line indices
-	// returned by Lookup/Insert are positions of the *tag word*
-	// (set*stride + way); the matching stamp, sharer and owner words sit at
-	// fixed offsets +Ways, +2*Ways and +3*Ways. Owners are int16 values
-	// stored zero-extended from their uint16 bit pattern (so NoOwner = -1
-	// round-trips) to keep the block homogeneous.
+	// words holds one contiguous block of 2×Ways words per set:
+	// [tags | used stamps]. A lookup scans the tag span and its stamp write
+	// lands in the same block, so an access rides one sequential stream.
+	// The tag of line index set*Ways+way sits at set*stride+way and its
+	// stamp Ways words later.
 	words  []uint64
-	stride int // words per set block = 4*Ways
+	stride int // words per set block = 2*Ways
 	// Per-set state bitmasks: bit w of valid[s]/dirty[s] is way w of set s.
 	valid []uint64
 	dirty []uint64
@@ -115,6 +114,18 @@ type Cache struct {
 	setMask uint64
 	allMask uint64 // mask of all ways, hoisted out of the access path
 	clk     uint64
+
+	// Directory state, kept only when trackOwners is set (LLC banks) and
+	// indexed by line index. owners holds each line's inserting partition;
+	// sharers packs one sharerBits-wide presence mask per line, 1<<sharerLog
+	// masks to a word. sharerLimit has one bit per partition: the sharer
+	// bits a line may carry.
+	owners      []int16
+	sharers     []uint64
+	sharerBits  uint
+	sharerLog   uint
+	sharerField uint64 // mask of one packed sharer field
+	sharerLimit uint64
 
 	// occupancy[owner] counts valid lines per partition; only maintained when
 	// trackOwners is set (LLC banks).
@@ -137,8 +148,9 @@ type Config struct {
 	// TrackOwners enables per-partition occupancy accounting and directory
 	// bits; enable for LLC banks only.
 	TrackOwners bool
-	// Partitions sizes the occupancy table (number of cores) when
-	// TrackOwners is set.
+	// Partitions sizes the occupancy table and the sharer masks (number of
+	// cores) when TrackOwners is set. A sharer mask is one uint64 at most,
+	// so it names only the first 64 partitions.
 	Partitions int
 }
 
@@ -158,8 +170,8 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		Sets:    sets,
 		Ways:    cfg.Ways,
-		words:   make([]uint64, 4*n),
-		stride:  4 * cfg.Ways,
+		words:   make([]uint64, 2*n),
+		stride:  2 * cfg.Ways,
 		valid:   make([]uint64, sets),
 		dirty:   make([]uint64, sets),
 		setMask: uint64(sets - 1),
@@ -175,6 +187,16 @@ func New(cfg Config) *Cache {
 		}
 		c.trackOwners = true
 		c.occupancy = make([]uint64, cfg.Partitions)
+		c.owners = make([]int16, n)
+		c.sharerBits = 8
+		for c.sharerBits < 64 && int(c.sharerBits) < cfg.Partitions {
+			c.sharerBits *= 2
+		}
+		c.sharerLog = uint(bits.TrailingZeros(64 / c.sharerBits))
+		perWord := 1 << c.sharerLog
+		c.sharers = make([]uint64, (n+perWord-1)/perWord)
+		c.sharerField = ^uint64(0) >> (64 - c.sharerBits)
+		c.sharerLimit = ^uint64(0) >> (64 - min(cfg.Partitions, 64))
 	}
 	return c
 }
@@ -230,39 +252,93 @@ func (c *Cache) SetIndexShifted(lineAddr uint64, k int) int {
 }
 
 // SetOf returns the set holding a flat line index.
-func (c *Cache) SetOf(idx int) int { return idx / c.stride }
+func (c *Cache) SetOf(idx int) int { return idx / c.Ways }
 
 // WayOf returns the way within its set of a flat line index.
-func (c *Cache) WayOf(idx int) int { return idx % c.stride }
+func (c *Cache) WayOf(idx int) int { return idx % c.Ways }
 
 // LineAt assembles the line value at a flat index (as returned by
 // Lookup/Insert or passed to ForEachLine callbacks).
 func (c *Cache) LineAt(idx int) Line {
-	return c.lineAt(idx/c.stride, idx%c.stride)
+	return c.lineAt(idx/c.Ways, idx%c.Ways)
 }
 
 // lineAt is LineAt with the set/way split already done — the hot paths know
 // both and must not pay the division.
 func (c *Cache) lineAt(set, way int) Line {
 	base := set * c.stride
-	return Line{
-		Addr:    c.words[base+way],
-		Valid:   c.valid[set]&(1<<uint(way)) != 0,
-		Dirty:   c.dirty[set]&(1<<uint(way)) != 0,
-		Owner:   int16(uint16(c.words[base+3*c.Ways+way])),
-		used:    c.words[base+c.Ways+way],
-		Sharers: c.words[base+2*c.Ways+way],
+	ln := Line{
+		Addr:  c.words[base+way],
+		Valid: c.valid[set]&(1<<uint(way)) != 0,
+		Dirty: c.dirty[set]&(1<<uint(way)) != 0,
+		used:  c.words[base+c.Ways+way],
 	}
+	if c.trackOwners {
+		i := set*c.Ways + way
+		ln.Owner = c.owners[i]
+		ln.Sharers = c.sharersAt(i)
+	} else if ln.Valid {
+		ln.Owner = NoOwner
+	}
+	return ln
 }
 
-// putLine overwrites the slot (set, way) with the given metadata; shared by
-// PutLineRaw and snapshot restoration.
-func (c *Cache) putLine(set, way int, ln Line) {
+// sharersAt unpacks the sharer field of line index i (tracked caches only).
+func (c *Cache) sharersAt(i int) uint64 {
+	return c.sharers[i>>c.sharerLog] >> c.sharerShift(i) & c.sharerField
+}
+
+// setSharers overwrites the sharer field of line index i (tracked caches
+// only); v must lie within sharerLimit.
+func (c *Cache) setSharers(i int, v uint64) {
+	sh := c.sharerShift(i)
+	w := &c.sharers[i>>c.sharerLog]
+	*w = *w&^(c.sharerField<<sh) | v<<sh
+}
+
+// sharerShift is the bit offset of line index i's field within its word.
+func (c *Cache) sharerShift(i int) uint {
+	return uint(i&(1<<c.sharerLog-1)) * c.sharerBits
+}
+
+// checkDirectory reports whether a line's owner and sharers can be stored:
+// an untracked cache holds only the implicit values (NoOwner for a valid
+// line, 0 for an invalid one, no sharers), and a bank's sharer bits must
+// name partitions it has.
+func (c *Cache) checkDirectory(valid bool, owner int16, sharers uint64) error {
+	if c.trackOwners {
+		if sharers&^c.sharerLimit != 0 {
+			return fmt.Errorf("sharers %#x name partitions beyond %d", sharers, len(c.occupancy))
+		}
+		return nil
+	}
+	implicit := int16(0)
+	if valid {
+		implicit = NoOwner
+	}
+	if owner != implicit || sharers != 0 {
+		return fmt.Errorf("owner %d and sharers %#x on a cache without owner tracking", owner, sharers)
+	}
+	return nil
+}
+
+// PutLineRaw overwrites the slot at a flat index with the given metadata,
+// bypassing LRU, statistics and occupancy bookkeeping. It exists for tests
+// that deliberately corrupt state to prove the invariant sweep fires; the
+// access path never uses it. It panics on directory state the cache cannot
+// store (see Restore).
+func (c *Cache) PutLineRaw(idx int, ln Line) {
+	if err := c.checkDirectory(ln.Valid, ln.Owner, ln.Sharers); err != nil {
+		panic("cache: " + err.Error())
+	}
+	set, way := idx/c.Ways, idx%c.Ways
 	base := set * c.stride
 	c.words[base+way] = ln.Addr
 	c.words[base+c.Ways+way] = ln.used
-	c.words[base+2*c.Ways+way] = ln.Sharers
-	c.words[base+3*c.Ways+way] = uint64(uint16(ln.Owner))
+	if c.trackOwners {
+		c.owners[idx] = ln.Owner
+		c.setSharers(idx, ln.Sharers)
+	}
 	bit := uint64(1) << uint(way)
 	if ln.Valid {
 		c.valid[set] |= bit
@@ -274,14 +350,6 @@ func (c *Cache) putLine(set, way int, ln Line) {
 	} else {
 		c.dirty[set] &^= bit
 	}
-}
-
-// PutLineRaw overwrites the slot at a flat index with the given metadata,
-// bypassing LRU, statistics and occupancy bookkeeping. It exists for
-// snapshot restoration and for tests that deliberately corrupt state to
-// prove the invariant sweep fires; the access path never uses it.
-func (c *Cache) PutLineRaw(idx int, ln Line) {
-	c.putLine(idx/c.stride, idx%c.stride, ln)
 }
 
 // Lookup searches for the line and, on a hit, refreshes its recency, marks
@@ -300,14 +368,13 @@ func (c *Cache) LookupIdx(setIdx int, lineAddr uint64, write bool) (int, bool) {
 		return -1, false
 	}
 	w := bits.TrailingZeros64(m)
-	idx := setIdx*c.stride + w
 	c.clk++
-	c.words[idx+c.Ways] = c.clk
+	c.words[setIdx*c.stride+c.Ways+w] = c.clk
 	if write {
 		c.dirty[setIdx] |= 1 << uint(w)
 	}
 	c.Stats.Hits++
-	return idx, true
+	return setIdx*c.Ways + w, true
 }
 
 // Probe reports whether the line is present without touching LRU state or
@@ -341,7 +408,7 @@ func (c *Cache) GetIdx(setIdx int, lineAddr uint64) (Line, bool) {
 // updates without perturbing replacement order.
 func (c *Cache) FindIdx(setIdx int, lineAddr uint64) (int, bool) {
 	if w := c.findLine(setIdx, lineAddr); w >= 0 {
-		return setIdx*c.stride + w, true
+		return setIdx*c.Ways + w, true
 	}
 	return -1, false
 }
@@ -352,10 +419,32 @@ func (c *Cache) AllMask() uint64 { return c.allMask }
 
 // OrSharers sets directory sharer bits on the line at a flat index. The hot
 // path uses it right after Lookup/Insert so the set is never walked twice.
-func (c *Cache) OrSharers(idx int, bit uint64) { c.words[idx+2*c.Ways] |= bit }
+// It panics on a cache without owner tracking, which has no directory, and
+// on a bit naming a partition the bank does not have.
+func (c *Cache) OrSharers(idx int, bit uint64) {
+	if bit&^c.sharerLimit != 0 || !c.trackOwners {
+		c.badSharers(bit)
+	}
+	c.sharers[idx>>c.sharerLog] |= bit << c.sharerShift(idx)
+}
 
-// SharersAt returns the directory sharer bits of the line at a flat index.
-func (c *Cache) SharersAt(idx int) uint64 { return c.words[idx+2*c.Ways] }
+// badSharers panics with OrSharers' contract violation, kept out of line so
+// OrSharers stays cheap on the hot path.
+func (c *Cache) badSharers(bit uint64) {
+	if !c.trackOwners {
+		panic("cache: OrSharers on a cache without owner tracking")
+	}
+	panic(fmt.Sprintf("cache: sharer bits %#x name partitions beyond %d", bit, len(c.occupancy)))
+}
+
+// SharersAt returns the directory sharer bits of the line at a flat index
+// (always 0 on a cache without owner tracking).
+func (c *Cache) SharersAt(idx int) uint64 {
+	if !c.trackOwners {
+		return 0
+	}
+	return c.sharersAt(idx)
+}
 
 // Insert places a line, choosing a victim only among ways enabled in mask
 // (way-partitioned insertion). It returns the flat index of the inserted
@@ -363,7 +452,8 @@ func (c *Cache) SharersAt(idx int) uint64 { return c.words[idx+2*c.Ways] }
 // re-walking the set), plus the evicted line if a valid one was displaced.
 // The line is inserted owned by owner and clean unless write. Insert panics
 // if mask selects no way; the enforcement layer guarantees a partition never
-// inserts without owning capacity.
+// inserts without owning capacity. It also panics on an owner other than
+// NoOwner when the cache does not track owners.
 func (c *Cache) Insert(lineAddr uint64, owner int, write bool, mask uint64) (int, Line, bool) {
 	return c.InsertIdx(c.SetIndex(lineAddr), lineAddr, owner, write, mask)
 }
@@ -374,6 +464,9 @@ func (c *Cache) InsertIdx(setIdx int, lineAddr uint64, owner int, write bool, ma
 	mask &= c.allMask
 	if mask == 0 {
 		panic("cache: insertion with empty way mask")
+	}
+	if owner != NoOwner && !c.trackOwners {
+		panic(fmt.Sprintf("cache: owner %d inserted into a cache without owner tracking", owner))
 	}
 	way := c.victim(setIdx, mask)
 	evicted, hadVictim := c.evict(setIdx, way, true)
@@ -400,8 +493,8 @@ func (c *Cache) victim(setIdx int, mask uint64) int {
 	if inv := mask &^ c.valid[setIdx]; inv != 0 {
 		return bits.TrailingZeros64(inv)
 	}
-	base := setIdx * c.stride
-	used := c.words[base+c.Ways : base+2*c.Ways : base+2*c.Ways]
+	base := setIdx*c.stride + c.Ways
+	used := c.words[base : base+c.Ways : base+c.Ways]
 	if mask == c.allMask {
 		// Unrestricted insertion (private caches, shared policies): a
 		// branch-free min over the contiguous stamp span, then the lowest
@@ -449,32 +542,38 @@ func (c *Cache) evict(setIdx, way int, needLine bool) (Line, bool) {
 // place writes a freshly inserted line into (setIdx, way) as most recently
 // used and returns its flat index.
 func (c *Cache) place(setIdx, way int, lineAddr uint64, owner int, write bool) int {
-	idx := setIdx*c.stride + way
+	base := setIdx*c.stride + way
+	idx := setIdx*c.Ways + way
 	bit := uint64(1) << uint(way)
 	c.clk++
-	c.words[idx] = lineAddr
-	c.words[idx+c.Ways] = c.clk
-	c.words[idx+2*c.Ways] = 0
-	c.words[idx+3*c.Ways] = uint64(uint16(int16(owner)))
+	c.words[base] = lineAddr
+	c.words[base+c.Ways] = c.clk
+	if c.trackOwners {
+		c.owners[idx] = int16(owner)
+		c.setSharers(idx, 0)
+		c.noteInsert(owner)
+	}
 	c.valid[setIdx] |= bit
 	if write {
 		c.dirty[setIdx] |= bit
 	} else {
 		c.dirty[setIdx] &^= bit
 	}
-	c.noteInsert(owner)
 	return idx
 }
 
 // clearSlot zeroes every per-line field of a slot and drops its valid/dirty
-// bits, matching what overwriting with a zero Line did in the AoS layout
-// (snapshots dump invalid slots too, so the stored bytes must stay zero).
+// bits (snapshots dump invalid slots too, so the stored bytes must stay
+// zero).
 func (c *Cache) clearSlot(setIdx, way int) {
 	base := setIdx * c.stride
 	c.words[base+way] = 0
 	c.words[base+c.Ways+way] = 0
-	c.words[base+2*c.Ways+way] = 0
-	c.words[base+3*c.Ways+way] = 0
+	if c.trackOwners {
+		i := setIdx*c.Ways + way
+		c.owners[i] = 0
+		c.setSharers(i, 0)
+	}
 	bit := uint64(1) << uint(way)
 	c.valid[setIdx] &^= bit
 	c.dirty[setIdx] &^= bit
@@ -539,27 +638,29 @@ func (c *Cache) InvalidateMatching(pred func(line Line) bool) int {
 // thread moves tiles its partition follows it, so the lines it placed keep
 // serving hits under the new partition id instead of being flushed. The walk
 // models the same range engine as InvalidateMatching; callers charge latency.
+// It panics on a cache without owner tracking.
 func (c *Cache) ReassignOwner(old, new int) int {
 	c.guardMutation()
+	if !c.trackOwners {
+		panic("cache: ReassignOwner on a cache without owner tracking")
+	}
 	if old == new {
 		return 0
 	}
 	c.Stats.BulkWalks++
-	oldWord := uint64(uint16(int16(old)))
-	newWord := uint64(uint16(int16(new)))
+	o16, n16 := int16(old), int16(new)
 	n := 0
 	for set := 0; set < c.Sets; set++ {
-		base := set * c.stride
+		owners := c.owners[set*c.Ways : (set+1)*c.Ways]
 		for m := c.valid[set]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			if c.words[base+3*c.Ways+w] != oldWord {
-				continue
+			if owners[w] == o16 {
+				owners[w] = n16
+				n++
 			}
-			c.words[base+3*c.Ways+w] = newWord
-			n++
 		}
 	}
-	if c.trackOwners && n > 0 {
+	if n > 0 {
 		if old >= 0 && old < len(c.occupancy) {
 			c.occupancy[old] -= uint64(n)
 		}
@@ -598,10 +699,9 @@ func (c *Cache) ValidLines() int {
 // recorded index where a test needs to alter a visited line.
 func (c *Cache) ForEachLine(fn func(idx int, ln Line)) {
 	for set := 0; set < c.Sets; set++ {
-		base := set * c.stride
 		for m := c.valid[set]; m != 0; m &= m - 1 {
 			w := bits.TrailingZeros64(m)
-			fn(base+w, c.lineAt(set, w))
+			fn(set*c.Ways+w, c.lineAt(set, w))
 		}
 	}
 }
@@ -634,7 +734,7 @@ func (c *Cache) fireEvict(ln Line) {
 }
 
 func (c *Cache) noteInsert(owner int) {
-	if c.trackOwners && owner >= 0 && owner < len(c.occupancy) {
+	if owner >= 0 && owner < len(c.occupancy) {
 		c.occupancy[owner]++
 	}
 }

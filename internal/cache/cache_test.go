@@ -75,7 +75,8 @@ func TestInsertPrefersInvalidWay(t *testing.T) {
 }
 
 func TestWayMaskRestrictsVictims(t *testing.T) {
-	c := small()
+	// Owners live only in owner-tracking caches (LLC banks): 4 sets x 4 ways.
+	c := New(Config{SizeBytes: 1024, Ways: 4, TrackOwners: true, Partitions: 2})
 	// Fill set 0 with owners: ways get filled in mask order.
 	c.Insert(0, 0, false, 0b0011)
 	c.Insert(4, 0, false, 0b0011)
@@ -301,5 +302,62 @@ func TestShiftedIndexSpreadsAlignedRegions(t *testing.T) {
 	}
 	if len(setsTouched) < 4 {
 		t.Fatalf("shifted index touched only %d sets", len(setsTouched))
+	}
+}
+
+// TestUntrackedCacheHoldsNoDirectory pins the lean-line contract: a cache
+// without owner tracking (a private L1/L2) stores no owner or sharers, so
+// every call that would have to store them panics instead of dropping them.
+func TestUntrackedCacheHoldsNoDirectory(t *testing.T) {
+	c := small()
+	idx, _, _ := c.Insert(0, NoOwner, false, c.AllMask())
+	mustPanic(t, "without owner tracking", func() { c.Insert(4, 0, false, c.AllMask()) })
+	mustPanic(t, "without owner tracking", func() { c.InsertIdx(1, 5, 3, false, c.AllMask()) })
+	mustPanic(t, "without owner tracking", func() { c.OrSharers(idx, 1) })
+	mustPanic(t, "without owner tracking", func() { c.ReassignOwner(0, 1) })
+	mustPanic(t, "without owner tracking", func() {
+		ln := c.LineAt(idx)
+		ln.Owner = 2
+		c.PutLineRaw(idx, ln)
+	})
+	// What it reads back is what it always stored.
+	if ln := c.LineAt(idx); ln.Owner != NoOwner || ln.Sharers != 0 || c.SharersAt(idx) != 0 {
+		t.Fatalf("valid untracked line reads %+v", ln)
+	}
+	if ln := c.LineAt(idx + 1); ln.Valid || ln.Owner != 0 || ln.Sharers != 0 {
+		t.Fatalf("invalid untracked slot reads %+v", ln)
+	}
+}
+
+// TestBankSharersBoundedByPartitions: a bank's sharer masks are packed to
+// the narrowest power-of-two width holding one bit per partition, so a bit
+// naming a partition the bank does not have panics rather than spilling
+// into a neighbouring line's field.
+func TestBankSharersBoundedByPartitions(t *testing.T) {
+	for _, parts := range []int{2, 8, 9, 16, 33, 64} {
+		// 16 lines fill every slot, so neighbouring fields share words.
+		c := New(Config{SizeBytes: 1024, Ways: 4, TrackOwners: true, Partitions: parts})
+		var idxs []int
+		for a := uint64(0); a < 16; a++ {
+			idx, _, _ := c.Insert(a, int(a)%parts, false, c.AllMask())
+			idxs = append(idxs, idx)
+		}
+		top := uint64(1) << uint(parts-1)
+		for i, idx := range idxs {
+			c.OrSharers(idx, top|uint64(i%2))
+		}
+		for i, idx := range idxs {
+			if got, want := c.SharersAt(idx), top|uint64(i%2); got != want {
+				t.Fatalf("partitions %d: line %d sharers %#x, want %#x", parts, i, got, want)
+			}
+		}
+		if parts < 64 {
+			mustPanic(t, "beyond", func() { c.OrSharers(idxs[3], uint64(1)<<uint(parts)) })
+			mustPanic(t, "beyond", func() {
+				ln := c.LineAt(idxs[3])
+				ln.Sharers = uint64(1) << uint(parts)
+				c.PutLineRaw(idxs[3], ln)
+			})
+		}
 	}
 }

@@ -171,47 +171,62 @@ func (r *refCache) snapshot() snapshot.Cache {
 // TestCacheMatchesReference drives Cache and refCache with one seeded
 // stream of lookups, masked and unmasked inserts, fills, sharer updates
 // and invalidations, and compares every return value, the eviction hook's
-// observations and Stats after each step, then the full snapshot.
+// observations and Stats after each step, then the full snapshot. Caches
+// without owner tracking hold no directory, so their stream inserts only
+// NoOwner and sets no sharers; owner-tracking caches sweep the partition
+// count so the 8-, 16- and 64-bit sharer packings are all compared.
 func TestCacheMatchesReference(t *testing.T) {
-	const sets, partitions = 8, 4
+	const sets = 8
 	for _, ways := range []int{4, 8, 16} {
 		for _, tracked := range []bool{false, true} {
 			for _, hooked := range []bool{false, true} {
 				name := fmt.Sprintf("ways%d/owners=%v/hook=%v", ways, tracked, hooked)
 				t.Run(name, func(t *testing.T) {
-					diffAgainstReference(t, ways, sets, partitions, tracked, hooked)
+					if !tracked {
+						diffAgainstReference(t, ways, sets, 0, hooked)
+						return
+					}
+					for _, partitions := range []int{4, 16, 64} {
+						t.Run(fmt.Sprintf("partitions%d", partitions), func(t *testing.T) {
+							diffAgainstReference(t, ways, sets, partitions, hooked)
+						})
+					}
 				})
 			}
 		}
 	}
 }
 
-func diffAgainstReference(t *testing.T, ways, sets, partitions int, tracked, hooked bool) {
+// diffAgainstReference runs one stream; partitions 0 means a cache without
+// owner tracking.
+func diffAgainstReference(t *testing.T, ways, sets, partitions int, hooked bool) {
 	cfg := Config{SizeBytes: sets * ways * LineBytes, Ways: ways}
-	refParts := 0
+	tracked := partitions > 0
 	if tracked {
 		cfg.TrackOwners, cfg.Partitions = true, partitions
-		refParts = partitions
 	}
 	c := New(cfg)
-	ref := newRefCache(sets, ways, refParts)
+	ref := newRefCache(sets, ways, partitions)
 	var got []Line
 	if hooked {
 		c.OnEvict = func(ln Line) { got = append(got, ln) }
 	}
-	rng := sim.NewRng(uint64(ways*10) + uint64(refParts))
+	rng := sim.NewRng(uint64(ways*10) + uint64(partitions))
 	span := uint64(sets * ways * 3) // enough reuse for hits, enough spread for evictions
 	// at converts a reference (set, way) to the cache's flat index.
 	at := func(set, way int) int {
 		if way < 0 {
 			return -1
 		}
-		return set*c.stride + way
+		return set*c.Ways + way
 	}
 	for step := 0; step < 40000; step++ {
 		addr := rng.Uint64n(span)
 		write := rng.Intn(3) == 0
-		owner := rng.Intn(partitions+1) - 1 // NoOwner or a partition
+		owner := NoOwner
+		if tracked {
+			owner = rng.Intn(partitions+1) - 1 // NoOwner or a partition
+		}
 		set := c.SetIndex(addr)
 		var op string
 		switch k := rng.Intn(20); {
@@ -222,8 +237,8 @@ func diffAgainstReference(t *testing.T, ways, sets, partitions int, tracked, hoo
 			if idx != at(set, w) || hit != rhit {
 				t.Fatalf("step %d Lookup(%d): got (%d,%v), reference (%d,%v)", step, addr, idx, hit, at(set, w), rhit)
 			}
-			if hit && rng.Intn(2) == 0 {
-				bit := uint64(1) << uint(rng.Intn(64))
+			if tracked && hit && rng.Intn(2) == 0 {
+				bit := uint64(1) << uint(rng.Intn(partitions))
 				c.OrSharers(idx, bit)
 				ref.lines[set][w].Sharers |= bit
 			}
@@ -274,7 +289,9 @@ func diffAgainstReference(t *testing.T, ways, sets, partitions int, tracked, hoo
 		default:
 			op = "InvalidateMatching"
 			o, mod := int16(owner), uint64(rng.Intn(5)+2)
-			pred := func(ln Line) bool { return ln.Owner == o || ln.Addr%mod == 0 }
+			// Untracked lines all read back NoOwner, so only the address
+			// filter selects among them.
+			pred := func(ln Line) bool { return (tracked && ln.Owner == o) || ln.Addr%mod == 0 }
 			if n, rn := c.InvalidateMatching(pred), ref.invalidateMatching(pred); n != rn {
 				t.Fatalf("step %d InvalidateMatching: got %d, reference %d", step, n, rn)
 			}
@@ -295,7 +312,8 @@ func diffAgainstReference(t *testing.T, ways, sets, partitions int, tracked, hoo
 	if got, want := c.Snapshot(), ref.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("final snapshot differs from the reference\n got %+v\nwant %+v", got, want)
 	}
-	for o := 0; o < partitions; o++ {
+	// An untracked cache reports zero occupancy for every partition.
+	for o := 0; o < max(partitions, 4); o++ {
 		var want uint64
 		if tracked {
 			want = ref.occupancy[o]

@@ -8,12 +8,12 @@ import (
 
 // Snapshot captures the full array state — every slot (valid or not, since
 // victim choice depends on exact layout and LRU stamps), the recency clock,
-// per-partition occupancy, and stats — as parallel positional slices. The
-// snapshot layout has always been structure-of-arrays, so since the in-core
-// layout became SoA too this is a straight copy of the parallel slices (the
-// flag byte per slot is assembled from the per-set valid/dirty bitmasks).
-// Invalid slots store zeroes in every array, so encodings stay byte-identical
-// across layout changes.
+// per-partition occupancy, and stats — as parallel positional slices indexed
+// by line index. The flag byte per slot is assembled from the per-set
+// valid/dirty bitmasks. A cache without owner tracking stores no directory,
+// so its snapshot carries the values it reads back: Owner NoOwner for a
+// valid slot and 0 for an invalid one, and no sharers. Invalid slots store
+// zeroes in every other array.
 func (c *Cache) Snapshot() snapshot.Cache {
 	var s snapshot.Cache
 	c.SnapshotInto(&s)
@@ -47,20 +47,54 @@ func (c *Cache) SnapshotInto(dst *snapshot.Cache) {
 	for set := 0; set < c.Sets; set++ {
 		v, d := c.valid[set], c.dirty[set]
 		lo, hi := set*ways, (set+1)*ways
-		blk := c.words[set*c.stride : set*c.stride+4*ways]
+		blk := c.words[set*c.stride : (set+1)*c.stride]
 		copy(s.Addrs[lo:hi], blk[:ways])
-		copy(s.Used[lo:hi], blk[ways:2*ways])
-		copy(s.Sharers[lo:hi], blk[2*ways:3*ways])
-		owners, flags := s.Owners[lo:hi], s.Flags[lo:hi]
-		for w, o := range blk[3*ways : 4*ways] {
-			owners[w] = int16(uint16(o))
+		copy(s.Used[lo:hi], blk[ways:])
+		flags := s.Flags[lo:hi]
+		for w := range flags {
 			flags[w] = byte(v>>uint(w)&1) | byte(d>>uint(w)&1)<<1
 		}
+	}
+	if c.trackOwners {
+		copy(s.Owners, c.owners)
+		c.unpackSharers(s.Sharers)
+	} else {
+		for i, f := range s.Flags {
+			s.Owners[i] = -int16(f & 1) // NoOwner when valid
+		}
+		clear(s.Sharers)
 	}
 	if len(c.occupancy) > 0 {
 		s.Occupancy = append(dst.Occupancy[:0], c.occupancy...)
 	}
 	*dst = s
+}
+
+// unpackSharers writes every line's sharer mask to dst, one per line index
+// (tracked caches only).
+func (c *Cache) unpackSharers(dst []uint64) {
+	per := 1 << c.sharerLog
+	for j, w := range c.sharers {
+		seg := dst[j*per : min((j+1)*per, len(dst))]
+		for k := range seg {
+			seg[k] = w & c.sharerField
+			w >>= c.sharerBits
+		}
+	}
+}
+
+// packSharers overwrites every line's sharer mask from src, one per line
+// index (tracked caches only; masks must lie within sharerLimit).
+func (c *Cache) packSharers(src []uint64) {
+	per := 1 << c.sharerLog
+	for j := range c.sharers {
+		seg := src[j*per : min((j+1)*per, len(src))]
+		var w uint64
+		for k := len(seg) - 1; k >= 0; k-- {
+			w = w<<c.sharerBits | seg[k]
+		}
+		c.sharers[j] = w
+	}
 }
 
 // resize returns a non-nil slice of length n, reusing s's backing array when
@@ -74,7 +108,10 @@ func resize[T any](s []T, n int) []T {
 
 // Restore overwrites the array state from a snapshot taken on a cache with
 // identical geometry. The OnEvict callback and owner-tracking mode are
-// construction-time configuration and are left untouched.
+// construction-time configuration and are left untouched. Snapshots arrive
+// from outside the process, so directory state this cache cannot hold —
+// owners or sharers on a cache without owner tracking, sharer bits beyond a
+// bank's partitions — is an error, and nothing is overwritten.
 func (c *Cache) Restore(s snapshot.Cache) error {
 	if s.Sets != c.Sets || s.Ways != c.Ways {
 		return fmt.Errorf("cache: snapshot geometry %dx%d, cache is %dx%d", s.Sets, s.Ways, c.Sets, c.Ways)
@@ -90,25 +127,27 @@ func (c *Cache) Restore(s snapshot.Cache) error {
 	} else if len(s.Occupancy) != 0 {
 		return fmt.Errorf("cache: snapshot carries occupancy but owner tracking is off")
 	}
-	for set := 0; set < c.Sets; set++ {
-		var v, d uint64
-		lineBase := set * c.Ways
-		wordBase := set * c.stride
-		for w := 0; w < c.Ways; w++ {
-			c.words[wordBase+w] = s.Addrs[lineBase+w]
-			c.words[wordBase+c.Ways+w] = s.Used[lineBase+w]
-			c.words[wordBase+2*c.Ways+w] = s.Sharers[lineBase+w]
-			c.words[wordBase+3*c.Ways+w] = uint64(uint16(s.Owners[lineBase+w]))
-			f := s.Flags[lineBase+w]
-			if f&1 != 0 {
-				v |= 1 << uint(w)
-			}
-			if f&2 != 0 {
-				d |= 1 << uint(w)
-			}
+	for i, f := range s.Flags {
+		if err := c.checkDirectory(f&1 != 0, s.Owners[i], s.Sharers[i]); err != nil {
+			return fmt.Errorf("cache: snapshot line %d: %w", i, err)
 		}
-		c.valid[set] = v
-		c.dirty[set] = d
+	}
+	ways := c.Ways
+	for set := 0; set < c.Sets; set++ {
+		lo, hi := set*ways, (set+1)*ways
+		blk := c.words[set*c.stride : (set+1)*c.stride]
+		copy(blk[:ways], s.Addrs[lo:hi])
+		copy(blk[ways:], s.Used[lo:hi])
+		var v, d uint64
+		for w, f := range s.Flags[lo:hi] {
+			v |= uint64(f&1) << uint(w)
+			d |= uint64(f>>1&1) << uint(w)
+		}
+		c.valid[set], c.dirty[set] = v, d
+	}
+	if c.trackOwners {
+		copy(c.owners, s.Owners)
+		c.packSharers(s.Sharers)
 	}
 	c.clk = s.Clk
 	copy(c.occupancy, s.Occupancy)

@@ -3,6 +3,8 @@ package cache
 import (
 	"reflect"
 	"testing"
+
+	"delta/internal/snapshot"
 )
 
 // churn drives a deterministic mixed workload — lookups, masked inserts,
@@ -93,5 +95,58 @@ func TestSnapshotRestoreRejectsMismatch(t *testing.T) {
 	}
 	if err := New(Config{SizeBytes: 16 * 1024, Ways: 8}).Restore(snap); err == nil {
 		t.Fatal("occupancy snapshot accepted by owner-tracking-off cache")
+	}
+}
+
+// TestSnapshotRestoreRejectsUnstorableDirectory: checkpoints arrive from
+// outside the process, so a snapshot carrying directory state the cache
+// cannot hold is an error, not a panic, and leaves the cache untouched.
+func TestSnapshotRestoreRejectsUnstorableDirectory(t *testing.T) {
+	private := func() *Cache { return New(Config{SizeBytes: 16 * 1024, Ways: 8}) }
+	src := private()
+	for a := uint64(0); a < 100; a++ {
+		src.Fill(a, a%3 == 0)
+	}
+	good := src.Snapshot()
+	valid, invalid := -1, -1
+	for i, f := range good.Flags {
+		if f&1 != 0 && valid < 0 {
+			valid = i
+		}
+		if f&1 == 0 && invalid < 0 {
+			invalid = i
+		}
+	}
+	if good.Owners[valid] != NoOwner || good.Owners[invalid] != 0 {
+		t.Fatalf("untracked snapshot owners %d (valid) / %d (invalid), want -1 / 0",
+			good.Owners[valid], good.Owners[invalid])
+	}
+	for name, corrupt := range map[string]func(s *snapshot.Cache){
+		"owner on valid line":   func(s *snapshot.Cache) { s.Owners[valid] = 3 },
+		"owner on invalid slot": func(s *snapshot.Cache) { s.Owners[invalid] = NoOwner },
+		"sharers":               func(s *snapshot.Cache) { s.Sharers[valid] = 1 },
+	} {
+		bad := src.Snapshot()
+		corrupt(&bad)
+		dst := private()
+		before := dst.Snapshot()
+		if err := dst.Restore(bad); err == nil {
+			t.Fatalf("%s: untracked restore accepted", name)
+		}
+		if !reflect.DeepEqual(dst.Snapshot(), before) {
+			t.Fatalf("%s: rejected restore modified the cache", name)
+		}
+	}
+	if err := private().Restore(good); err != nil {
+		t.Fatalf("untracked round trip: %v", err)
+	}
+
+	bank := func() *Cache { return New(Config{SizeBytes: 16 * 1024, Ways: 8, TrackOwners: true, Partitions: 4}) }
+	b := bank()
+	churn(b, 3, 500)
+	bad := b.Snapshot()
+	bad.Sharers[valid] |= 1 << 4
+	if err := bank().Restore(bad); err == nil {
+		t.Fatal("bank restore accepted a sharer bit beyond its partitions")
 	}
 }

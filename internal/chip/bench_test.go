@@ -108,6 +108,19 @@ func BenchmarkChipNew(b *testing.B) {
 	}
 }
 
+// BenchmarkChipNew16 is BenchmarkChipNew at 16 cores, the scale of the
+// Fig. 5 runs, where the cache slabs rather than the UMON dominate the
+// per-tile state. scripts/bench_regression.sh gates its B/op so directory
+// words creeping back into every cache line fail CI.
+func BenchmarkChipNew16(b *testing.B) {
+	cfg := DefaultConfig(16)
+	cfg.UmonSampleEvery = 4
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(cfg, NewSnuca())
+	}
+}
+
 // BenchmarkChipRunWarm is the same run with the warmup simulated
 // instruction-by-instruction (the pre-fast-forward behaviour).
 func BenchmarkChipRunWarm(b *testing.B) {

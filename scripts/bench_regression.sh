@@ -13,9 +13,14 @@
 #      before; the ceiling keeps the old ~13% headroom for counted-but-
 #      benign drift)
 #   BenchmarkChipNew       must stay under CHIPNEW_BYTES_CEILING B/op (a
-#     64-core chip.New measured 23.96 MB; it was 73.8 MB while every UMON
+#     64-core chip.New measured 18.21 MB once only LLC banks store owners
+#     and sharers, the sharers packed to the core count; it was 23.96 MB
+#     with four words per line in every cache and 73.8 MB while every UMON
 #     stack was provisioned at full depth up front, so eagerly sized
 #     per-tile state fails here; the ceiling is about 1.3x the measurement)
+#   BenchmarkChipNew16     must stay under CHIPNEW16_BYTES_CEILING B/op (a
+#     16-core chip.New measured 3.72 MB, 5.94 MB with four words per line
+#     in every cache; the ceiling is about 1.3x the measurement)
 #   BenchmarkSnapshotCodec/decode must stay under SNAPDECODE_ALLOC_CEILING
 #     allocs/op (the canonical parser on a 16-core churn checkpoint measured
 #     3033; the encoding/json fallback allocates about 12850, so a snapshot
@@ -25,15 +30,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 CHIPRUN_ALLOC_CEILING=1460
-CHIPNEW_BYTES_CEILING=31000000
+CHIPNEW_BYTES_CEILING=23700000
+CHIPNEW16_BYTES_CEILING=4850000
 SNAPDECODE_ALLOC_CEILING=4500
 
 # AccessPath iterates per memory reference (~300ns each): 10000x is
 # milliseconds. ChipRun iterates whole runs (~200ms each): keep it at 1x.
 ap=$(go test -run '^$' -bench 'BenchmarkAccessPath' -benchtime 10000x ./internal/chip)
-# ChipNew builds a 64-core chip (~10-25ms each).
 cr=$(go test -run '^$' -bench 'BenchmarkChipRun$' -benchtime 1x ./internal/chip)
-cn=$(go test -run '^$' -bench 'BenchmarkChipNew$' -benchtime 3x ./internal/chip)
+# ChipNew builds a 64-core chip (~10-25ms each), ChipNew16 a 16-core one.
+cn=$(go test -run '^$' -bench 'BenchmarkChipNew(16)?$' -benchtime 3x ./internal/chip)
 sd=$(go test -run '^$' -bench 'BenchmarkSnapshotCodec/decode$' -benchtime 3x .)
 out=$(printf '%s\n%s\n%s\n%s\n' "${ap}" "${cr}" "${cn}" "${sd}")
 echo "${out}"
@@ -59,6 +65,12 @@ while read -r name _ _ _ bytes _ allocs _; do
       FAIL=1
     fi
     ;;
+  BenchmarkChipNew16 | BenchmarkChipNew16-*)
+    if [ "${bytes}" -gt "${CHIPNEW16_BYTES_CEILING}" ]; then
+      echo "FAIL: ${name} allocates ${bytes} B/op, ceiling ${CHIPNEW16_BYTES_CEILING}" >&2
+      FAIL=1
+    fi
+    ;;
   BenchmarkSnapshotCodec/decode | BenchmarkSnapshotCodec/decode-*)
     if [ "${allocs}" -gt "${SNAPDECODE_ALLOC_CEILING}" ]; then
       echo "FAIL: ${name} allocates ${allocs} allocs/op, ceiling ${SNAPDECODE_ALLOC_CEILING}" >&2
@@ -73,6 +85,7 @@ done < <(echo "${out}" | grep -E '^Benchmark')
 echo "${out}" | grep -q '^BenchmarkAccessPath/' || { echo "FAIL: AccessPath did not run" >&2; FAIL=1; }
 echo "${out}" | grep -qE '^BenchmarkChipRun(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipRun did not run" >&2; FAIL=1; }
 echo "${out}" | grep -qE '^BenchmarkChipNew(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipNew did not run" >&2; FAIL=1; }
+echo "${out}" | grep -qE '^BenchmarkChipNew16(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipNew16 did not run" >&2; FAIL=1; }
 echo "${out}" | grep -qE '^BenchmarkSnapshotCodec/decode(-[0-9]+)?[[:space:]]' || { echo "FAIL: SnapshotCodec/decode did not run" >&2; FAIL=1; }
 
 [ "${FAIL}" -eq 0 ] || exit 1
