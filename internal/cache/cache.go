@@ -43,7 +43,7 @@ const NoOwner = -1
 // Owner is the partition that *inserted* the line and is attribution-stable
 // for the line's lifetime: a hit from another partition never reattributes
 // it. This is a deliberate semantics choice, not an accident of the lookup
-// path — the bulk-invalidation unit of a remap (chip.InvalidateOwnerBuckets)
+// path — the bulk-invalidation unit of a remap (chip.Enforcement.Remap)
 // is keyed on Owner and must find exactly the lines the owner's CBT placed
 // in the bank. Reattributing on cross-partition hits would orphan lines at
 // remap time (the owner's invalidation would miss them, leaving stale copies

@@ -17,7 +17,6 @@ package carma
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"delta/internal/cbt"
 	"delta/internal/chip"
@@ -58,8 +57,11 @@ type Stats struct {
 	InvalLines   uint64  // lines invalidated by the resulting CBT moves
 }
 
-// Policy is the auction policy (chip.Policy).
+// Policy is the auction policy (chip.Policy). Lots are enforced through
+// the embedded CBTs and WP units, the same mechanism as DELTA's.
 type Policy struct {
+	chip.Enforcement
+
 	cfg  Config
 	c    *chip.Chip
 	n    int
@@ -69,8 +71,6 @@ type Policy struct {
 	tick     *sim.Ticker
 	lotOwner [][]int16 // [bank][lot] -> owning core
 	budget   []float64
-	tables   []*cbt.Table
-	masks    [][]uint64 // [bank][core]
 
 	Stats Stats
 }
@@ -140,6 +140,7 @@ func (p *Policy) Name() string { return "carma" }
 // (the private-partition layout) and every budget starts full.
 func (p *Policy) Attach(c *chip.Chip) {
 	p.c = c
+	p.InitEnforcement(c)
 	p.n = c.Cores()
 	p.w = c.Ways()
 	if err := p.cfg.ValidateWays(p.w); err != nil {
@@ -149,46 +150,22 @@ func (p *Policy) Attach(c *chip.Chip) {
 	p.tick = sim.NewTicker(p.cfg.Interval, p.cfg.Interval)
 	p.lotOwner = make([][]int16, p.n)
 	p.budget = make([]float64, p.n)
-	p.tables = make([]*cbt.Table, p.n)
-	p.masks = make([][]uint64, p.n)
 	for b := 0; b < p.n; b++ {
 		p.lotOwner[b] = make([]int16, p.lots)
 		for l := range p.lotOwner[b] {
 			p.lotOwner[b][l] = int16(b)
 		}
 		p.budget[b] = p.cfg.MaxBudget
-		p.tables[b] = cbt.Uniform(b)
-		p.masks[b] = make([]uint64, p.n)
 	}
-	p.rebuildMasks()
 }
 
-// BankFor implements chip.Policy through the owner's CBT.
-func (p *Policy) BankFor(core int, lineAddr uint64) int {
-	return p.tables[core].BankForLine(lineAddr, p.c.LLCSetBits())
-}
-
-// WayMask implements chip.Policy.
-func (p *Policy) WayMask(core, bank int) uint64 { return p.masks[bank][core] }
-
-// Table implements chip.TableProvider for the invariant harness.
-func (p *Policy) Table(core int) *cbt.Table { return p.tables[core] }
-
-// ExclusiveWayPartitioning implements chip.ExclusivePartitioner: every way
-// belongs to exactly one lot and every lot to exactly one core.
-func (p *Policy) ExclusiveWayPartitioning() bool { return true }
-
-// ownedWays returns core's chip-wide way holdings.
-func (p *Policy) ownedWays(core int) int {
-	ways := 0
-	for b := 0; b < p.n; b++ {
-		for _, o := range p.lotOwner[b] {
-			if int(o) == core {
-				ways += p.cfg.LotWays
-			}
-		}
+// setLot hands lot l of bank to core, in the market and in the bank's WP
+// unit.
+func (p *Policy) setLot(bank, l, core int) {
+	p.lotOwner[bank][l] = int16(core)
+	for w := l * p.cfg.LotWays; w < (l+1)*p.cfg.LotWays; w++ {
+		p.SetOwner(bank, w, core)
 	}
-	return ways
 }
 
 // Tick implements chip.Policy: one budget-regeneration + auction round per
@@ -217,10 +194,11 @@ func (p *Policy) Tick(now uint64) {
 
 	owned := make([]int, p.n)
 	for i := range owned {
-		owned[i] = p.ownedWays(i)
+		for b := 0; b < p.n; b++ {
+			owned[i] += p.Ways(i, b)
+		}
 	}
 	changed := make([]bool, p.n)
-	anyChanged := false
 	for b := 0; b < p.n; b++ {
 		for l := p.cfg.ReserveLots; l < p.lots; l++ {
 			p.Stats.Auctions++
@@ -245,23 +223,19 @@ func (p *Policy) Tick(now uint64) {
 				}
 			}
 			if best >= 0 && bestBid > defense {
-				p.lotOwner[b][l] = int16(best)
+				p.setLot(b, l, best)
 				p.budget[best] -= bestBid
 				p.Stats.LotsTraded++
 				p.Stats.CreditsSpent += bestBid
 				owned[best] += p.cfg.LotWays
 				owned[inc] -= p.cfg.LotWays
 				changed[best], changed[inc] = true, true
-				anyChanged = true
 			}
 		}
 	}
-	if anyChanged {
-		p.rebuildMasks()
-		for i := 0; i < p.n; i++ {
-			if changed[i] {
-				p.rebuildTable(i)
-			}
+	for i := 0; i < p.n; i++ {
+		if changed[i] {
+			p.rebuildTable(i)
 		}
 	}
 }
@@ -283,11 +257,11 @@ func (p *Policy) value(c umon.Curve, owned, delta, core, bank int) float64 {
 // first then nearest-first, and invalidates the buckets that moved.
 func (p *Policy) rebuildTable(core int) {
 	shares := make([]cbt.Share, 0, 4)
-	if w := p.bankWays(core, core); w > 0 {
+	if w := p.Ways(core, core); w > 0 {
 		shares = append(shares, cbt.Share{Bank: core, Ways: w})
 	}
 	for _, b := range p.c.Topo.NeighborsByDistance(core) {
-		if w := p.bankWays(core, b); w > 0 {
+		if w := p.Ways(core, b); w > 0 {
 			shares = append(shares, cbt.Share{Bank: b, Ways: w})
 		}
 	}
@@ -296,40 +270,8 @@ func (p *Policy) rebuildTable(core int) {
 		// but a zero-reserve config must still keep the table valid.
 		shares = append(shares, cbt.Share{Bank: core, Ways: 1})
 	}
-	next := cbt.BuildIncremental(p.tables[core], shares)
-	moves := cbt.Diff(p.tables[core], next)
-	p.tables[core] = next
-	for from, buckets := range cbt.MovedFrom(moves) {
-		set := make(map[int]bool, len(buckets))
-		for _, bk := range buckets {
-			set[bk] = true
-		}
-		p.Stats.InvalLines += uint64(p.c.InvalidateOwnerBuckets(core, from, set))
-	}
-}
-
-// bankWays returns how many ways core owns in bank.
-func (p *Policy) bankWays(core, bank int) int {
-	ways := 0
-	for _, o := range p.lotOwner[bank] {
-		if int(o) == core {
-			ways += p.cfg.LotWays
-		}
-	}
-	return ways
-}
-
-// rebuildMasks derives way bitmasks from the lot-ownership matrix.
-func (p *Policy) rebuildMasks() {
-	lotMask := (uint64(1) << uint(p.cfg.LotWays)) - 1
-	for b := 0; b < p.n; b++ {
-		for core := range p.masks[b] {
-			p.masks[b][core] = 0
-		}
-		for l, o := range p.lotOwner[b] {
-			p.masks[b][o] |= lotMask << uint(l*p.cfg.LotWays)
-		}
-	}
+	next := cbt.BuildIncremental(p.Table(core), shares)
+	p.Stats.InvalLines += uint64(p.Remap(core, next))
 }
 
 // Config returns the policy's resolved configuration.
@@ -339,9 +281,13 @@ func (p *Policy) Config() Config { return p.cfg }
 func (p *Policy) Budget(core int) float64 { return p.budget[core] }
 
 // CheckInvariants implements chip.SelfChecker: reserved lots stay home,
-// every lot has a valid owner, and the masks mirror the ownership matrix.
+// every lot has a valid owner, and the WP units' masks mirror the lots way
+// for way.
 func (p *Policy) CheckInvariants() error {
+	lotMask := (uint64(1) << uint(p.cfg.LotWays)) - 1
+	want := make([]uint64, p.n)
 	for b := 0; b < p.n; b++ {
+		clear(want)
 		for l, o := range p.lotOwner[b] {
 			if o < 0 || int(o) >= p.n {
 				return fmt.Errorf("carma: bank %d lot %d owned by invalid core %d", b, l, o)
@@ -349,18 +295,12 @@ func (p *Policy) CheckInvariants() error {
 			if l < p.cfg.ReserveLots && int(o) != b {
 				return fmt.Errorf("carma: bank %d reserved lot %d owned by core %d, want home %d", b, l, o, b)
 			}
+			want[o] |= lotMask << uint(l*p.cfg.LotWays)
 		}
-		sum := 0
-		for core := range p.masks[b] {
-			got := bits.OnesCount64(p.masks[b][core])
-			if want := p.bankWays(core, b); got != want {
-				return fmt.Errorf("carma: bank %d core %d mask %#x has %d ways, lots grant %d",
-					b, core, p.masks[b][core], got, want)
+		for core, m := range want {
+			if got := p.WayMask(core, b); got != m {
+				return fmt.Errorf("carma: bank %d core %d mask %#x, lots grant %#x", b, core, got, m)
 			}
-			sum += got
-		}
-		if sum != p.w {
-			return fmt.Errorf("carma: bank %d masks cover %d ways of %d", b, sum, p.w)
 		}
 	}
 	for i, bud := range p.budget {

@@ -27,6 +27,15 @@ func loadAsymmetric(c *chip.Chip) {
 	}
 }
 
+// ownedWays returns core's chip-wide way holdings.
+func ownedWays(p *Policy, core int) int {
+	ways := 0
+	for b := 0; b < p.n; b++ {
+		ways += p.Ways(core, b)
+	}
+	return ways
+}
+
 func TestCarmaAuctionsMoveCapacityToHungryCores(t *testing.T) {
 	ccfg := chip.DefaultConfig(16)
 	ccfg.Quantum = 500
@@ -47,9 +56,9 @@ func TestCarmaAuctionsMoveCapacityToHungryCores(t *testing.T) {
 	hungry, tiny := 0, 0
 	for i := 0; i < 16; i++ {
 		if i%2 == 0 {
-			hungry += p.ownedWays(i)
+			hungry += ownedWays(p, i)
 		} else {
-			tiny += p.ownedWays(i)
+			tiny += ownedWays(p, i)
 		}
 	}
 	if hungry <= tiny {
@@ -102,14 +111,14 @@ func TestCarmaMembership(t *testing.T) {
 		t.Fatalf("after departure: %v", err)
 	}
 	// Migration: the thread's holdings (lots and budget) travel with it.
-	before := p.ownedWays(2)
+	before := ownedWays(p, 2)
 	p.WorkloadMigrated(2, 0, 0)
 	if p.Budget(2) != 0 {
 		t.Fatalf("migration source kept budget %v", p.Budget(2))
 	}
 	// The destination inherits the source's whole non-reserved estate on top
 	// of its own reserved lot, so it owns at least what the source had.
-	if got := p.ownedWays(0); got < before {
+	if got := ownedWays(p, 0); got < before {
 		t.Fatalf("destination owns %d ways, source had %d", got, before)
 	}
 	if err := p.CheckInvariants(); err != nil {
@@ -150,7 +159,7 @@ func TestCarmaCheckInvariantsDetectsCorruption(t *testing.T) {
 		t.Fatal("negative budget not detected")
 	}
 	p.budget[5] = 0
-	p.masks[2][2] = 0
+	p.SetOwner(2, 0, 3) // a way leaves its lot's owner
 	if err := p.CheckInvariants(); err == nil {
 		t.Fatal("mask corruption not detected")
 	}

@@ -1,7 +1,5 @@
 package carma
 
-import "delta/internal/cbt"
-
 // This file implements chip.MembershipHandler. Lots are property: they
 // follow the thread on migration, and a departing thread's non-reserved
 // holdings revert to the home cores of the banks they sit in (the market's
@@ -25,13 +23,12 @@ func (p *Policy) WorkloadDeparted(core int, now uint64) {
 	for b := 0; b < p.n; b++ {
 		for l := p.cfg.ReserveLots; l < p.lots; l++ {
 			if int(p.lotOwner[b][l]) == core && b != core {
-				p.lotOwner[b][l] = int16(b)
+				p.setLot(b, l, b)
 				changed = true
 			}
 		}
 	}
 	if changed {
-		p.rebuildMasks()
 		p.rebuildTable(core)
 	}
 }
@@ -44,7 +41,7 @@ func (p *Policy) WorkloadMigrated(from, to int, now uint64) {
 	for b := 0; b < p.n; b++ {
 		for l := p.cfg.ReserveLots; l < p.lots; l++ {
 			if int(p.lotOwner[b][l]) == from {
-				p.lotOwner[b][l] = int16(to)
+				p.setLot(b, l, to)
 			}
 		}
 	}
@@ -52,7 +49,6 @@ func (p *Policy) WorkloadMigrated(from, to int, now uint64) {
 	// to the new core), then rebuilds incrementally against the transferred
 	// holdings so only the buckets that truly moved are invalidated. The
 	// vacated tile reverts to a home-only table over its reserved lots.
-	p.tables[to], p.tables[from] = p.tables[from], cbt.Uniform(from)
-	p.rebuildMasks()
+	p.MoveTable(from, to)
 	p.rebuildTable(to)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"delta/internal/cbt"
 	"delta/internal/snapshot"
 )
 
@@ -34,7 +33,7 @@ func (p *Policy) SnapshotPolicy() (*snapshot.Policy, error) {
 		TickNext:   p.tick.Next(),
 		LotOwner:   p.lotOwner,
 		BudgetBits: snapshot.FloatBits(p.budget),
-		Tables:     make([]snapshot.CBT, p.n),
+		Tables:     p.SnapshotTables(),
 		Stats: statsState{
 			Auctions:         p.Stats.Auctions,
 			LotsTraded:       p.Stats.LotsTraded,
@@ -42,14 +41,12 @@ func (p *Policy) SnapshotPolicy() (*snapshot.Policy, error) {
 			InvalLines:       p.Stats.InvalLines,
 		},
 	}
-	for i := 0; i < p.n; i++ {
-		s.Tables[i] = p.tables[i].Snapshot()
-	}
 	return snapshot.NewPolicyState(p.Name(), "carma", s)
 }
 
 // RestorePolicy implements chip.PolicySnapshotter, overwriting the state
 // Attach initialized; the policy self-check revalidates the market.
+// Every check runs before any state is installed.
 func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 	var st state
 	if err := s.DecodeState("carma", &st); err != nil {
@@ -57,14 +54,6 @@ func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 	}
 	if len(st.LotOwner) != p.n || len(st.BudgetBits) != p.n || len(st.Tables) != p.n {
 		return fmt.Errorf("carma: snapshot policy state does not cover %d tiles", p.n)
-	}
-	tables := make([]*cbt.Table, p.n)
-	for i := range st.Tables {
-		t, err := cbt.FromSnapshot(st.Tables[i])
-		if err != nil {
-			return fmt.Errorf("carma: tile %d: %w", i, err)
-		}
-		tables[i] = t
 	}
 	for b := range st.LotOwner {
 		if len(st.LotOwner[b]) != p.lots {
@@ -76,10 +65,14 @@ func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 			}
 		}
 	}
+	if err := p.RestoreTables(st.Tables); err != nil {
+		return fmt.Errorf("carma: %w", err)
+	}
 	p.tick.Reset(st.TickNext)
-	for i := 0; i < p.n; i++ {
-		copy(p.lotOwner[i], st.LotOwner[i])
-		p.tables[i] = tables[i]
+	for b, lots := range st.LotOwner {
+		for l, o := range lots {
+			p.setLot(b, l, int(o))
+		}
 	}
 	snapshot.BitsInto(p.budget, st.BudgetBits)
 	p.Stats = Stats{
@@ -88,6 +81,5 @@ func (p *Policy) RestorePolicy(s *snapshot.Policy) error {
 		CreditsSpent: math.Float64frombits(st.Stats.CreditsSpentBits),
 		InvalLines:   st.Stats.InvalLines,
 	}
-	p.rebuildMasks()
 	return nil
 }

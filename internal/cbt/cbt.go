@@ -212,11 +212,6 @@ func Diff(prev, next *Table) []Move {
 	return moves
 }
 
-// MovedFrom collects, per source bank, the set of buckets leaving that bank.
-func MovedFrom(moves []Move) map[int][]int {
-	out := map[int][]int{}
-	for _, m := range moves {
-		out[m.From] = append(out[m.From], m.Bucket)
-	}
-	return out
-}
+// BucketSet marks a subset of the bucket space: the buckets one remap moves
+// out of one bank, handed to that bank's bulk-invalidation unit.
+type BucketSet [NumBuckets]bool

@@ -101,10 +101,6 @@ func TestDiffExpansion(t *testing.T) {
 	if len(moves) < 45 || len(moves) > 60 {
 		t.Fatalf("moved %d buckets, want ~51", len(moves))
 	}
-	byFrom := MovedFrom(moves)
-	if len(byFrom[4]) != len(moves) {
-		t.Fatal("MovedFrom grouping wrong")
-	}
 }
 
 func TestDiffRetreat(t *testing.T) {

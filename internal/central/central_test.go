@@ -340,8 +340,8 @@ func TestIdealCheckInvariants(t *testing.T) {
 	}{
 		{"assignment sum broken", func() { p.assign[0][0]-- }, func() { p.assign[0][0]++ }},
 		{"mask out of sync",
-			func() { p.masks[1][1] &^= 1 },
-			func() { p.masks[1][1] |= 1 }},
+			func() { p.SetOwner(1, 0, chip.NoOwner) },
+			func() { p.SetOwner(1, 0, 1) }},
 		{"negative assignment", func() {
 			p.assign[2][2] -= p.w + 1
 			p.assign[2][3] += p.w + 1

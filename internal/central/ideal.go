@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 	"time"
 
@@ -148,6 +147,8 @@ type IdealStats struct {
 // upper bound a real Lookahead/Peekahead implementation cannot reach at
 // scale (Table VI).
 type Ideal struct {
+	chip.Enforcement
+
 	cfg IdealConfig
 	c   *chip.Chip
 	n   int
@@ -156,8 +157,6 @@ type Ideal struct {
 	tick    *sim.Ticker
 	alloc   Alloc
 	assign  [][]int // current placement
-	tables  []*cbt.Table
-	masks   [][]uint64 // [bank][app]
 	smooth  []MissCurve
 	history []allocStat
 
@@ -223,6 +222,7 @@ func (p *Ideal) Name() string { return "ideal-central" }
 // Attach implements chip.Policy with equal partitioning as the start state.
 func (p *Ideal) Attach(c *chip.Chip) {
 	p.c = c
+	p.InitEnforcement(c)
 	if !p.recSet {
 		if r := c.Recorder(); r != nil {
 			p.rec = r
@@ -236,26 +236,13 @@ func (p *Ideal) Attach(c *chip.Chip) {
 	p.tick = sim.NewTicker(p.cfg.Interval, p.cfg.Interval)
 	p.alloc = make(Alloc, p.n)
 	p.assign = make([][]int, p.n)
-	p.tables = make([]*cbt.Table, p.n)
-	p.masks = make([][]uint64, p.n)
 	p.history = make([]allocStat, p.n)
 	for i := 0; i < p.n; i++ {
 		p.alloc[i] = p.w
 		p.assign[i] = make([]int, p.n)
 		p.assign[i][i] = p.w
-		p.tables[i] = cbt.Uniform(i)
-		p.masks[i] = make([]uint64, p.n)
 	}
-	p.rebuildMasks()
 }
-
-// BankFor implements chip.Policy.
-func (p *Ideal) BankFor(core int, lineAddr uint64) int {
-	return p.tables[core].BankForLine(lineAddr, p.c.LLCSetBits())
-}
-
-// WayMask implements chip.Policy.
-func (p *Ideal) WayMask(core, bank int) uint64 { return p.masks[bank][core] }
 
 // Tick implements chip.Policy: a full chip-wide reallocation per interval.
 func (p *Ideal) Tick(now uint64) {
@@ -335,11 +322,11 @@ func (p *Ideal) Tick(now uint64) {
 	p.applyPlacement(pl)
 }
 
-// applyPlacement installs a placement: way masks, CBTs and the bulk
-// invalidations for every bucket that changed banks.
+// applyPlacement installs a placement: way ownership, then every core's
+// CBT, whose remap invalidates the buckets that changed banks.
 func (p *Ideal) applyPlacement(pl Placement) {
 	p.assign = pl.Assign
-	p.rebuildMasks()
+	p.setOwners()
 	for i := 0; i < p.n; i++ {
 		shares := make([]cbt.Share, 0, 4)
 		if pl.Assign[i][i] > 0 {
@@ -354,47 +341,34 @@ func (p *Ideal) applyPlacement(pl Placement) {
 		if len(shares) == 0 {
 			shares = append(shares, cbt.Share{Bank: i, Ways: 1})
 		}
-		next := cbt.BuildIncremental(p.tables[i], shares)
-		moves := cbt.Diff(p.tables[i], next)
-		p.tables[i] = next
-		for from, buckets := range cbt.MovedFrom(moves) {
-			set := make(map[int]bool, len(buckets))
-			for _, bk := range buckets {
-				set[bk] = true
-			}
-			p.Stats.InvalLines += uint64(p.c.InvalidateOwnerBuckets(i, from, set))
-		}
+		next := cbt.BuildIncremental(p.Table(i), shares)
+		p.Stats.InvalLines += uint64(p.Remap(i, next))
 	}
 }
 
-// rebuildMasks derives way bitmasks from the assignment matrix.
-func (p *Ideal) rebuildMasks() {
+// setOwners lays the assignment matrix out in the WP units: each bank's
+// ways go to applications in ID order; ways past an over-assignment's
+// truncation or an under-assignment's end have no owner.
+func (p *Ideal) setOwners() {
 	for b := 0; b < p.n; b++ {
 		way := 0
 		for app := 0; app < p.n; app++ {
-			p.masks[b][app] = 0
-		}
-		for app := 0; app < p.n; app++ {
 			for k := 0; k < p.assign[b][app] && way < p.w; k++ {
-				p.masks[b][app] |= 1 << uint(way)
+				p.SetOwner(b, way, app)
 				way++
 			}
+		}
+		for ; way < p.w; way++ {
+			p.SetOwner(b, way, chip.NoOwner)
 		}
 	}
 }
 
-// Table implements chip.TableProvider for the invariant harness.
-func (p *Ideal) Table(core int) *cbt.Table { return p.tables[core] }
-
-// ExclusiveWayPartitioning implements chip.ExclusivePartitioner: the ideal
-// scheme enforces through the same WP-unit model as DELTA, one owner per way.
-func (p *Ideal) ExclusiveWayPartitioning() bool { return true }
-
 // CheckInvariants implements chip.SelfChecker: every bank's assignment sums
 // to exactly its associativity (Place and placeRoundRobin both return the
-// leftover capacity to the bank's home application), and the derived way
+// leftover capacity to the bank's home application), and the WP units'
 // masks mirror the assignment matrix way for way. A mismatch means
-// rebuildMasks truncated an over-assigned bank — capacity silently granted
+// setOwners truncated an over-assigned bank — capacity silently granted
 // on paper but never enforceable.
 //
 // It does not compare per-app assignment sums against the allocation vector:
@@ -408,9 +382,9 @@ func (p *Ideal) CheckInvariants() error {
 			if a < 0 {
 				return fmt.Errorf("ideal: assign[%d][%d] = %d is negative", b, app, a)
 			}
-			if got := popcount(p.masks[b][app]); got != a {
+			if got := p.Ways(app, b); got != a {
 				return fmt.Errorf("ideal: bank %d app %d assigned %d ways but mask %#x has %d",
-					b, app, a, p.masks[b][app], got)
+					b, app, a, p.WayMask(app, b), got)
 			}
 			sum += a
 		}
@@ -420,8 +394,6 @@ func (p *Ideal) CheckInvariants() error {
 	}
 	return nil
 }
-
-func popcount(m uint64) int { return bits.OnesCount64(m) }
 
 // AvgWays returns the mean allocation the policy granted core across epochs
 // (Fig. 11's over-allocation analysis).

@@ -1,7 +1,5 @@
 package central
 
-import "delta/internal/cbt"
-
 // This file implements chip.MembershipHandler for the ideal centralized
 // policy. The centralized scheme recomputes the entire chip-wide allocation
 // from fresh UMON curves every epoch, so membership events need far less
@@ -47,6 +45,6 @@ func (p *Ideal) WorkloadMigrated(from, to int, now uint64) {
 	// `to` owns capacity in exactly the banks the table already maps, so the
 	// relabeled lines keep hitting. The vacated partition gets a fresh
 	// home-only table; the next remap rebuilds it incrementally anyway.
-	p.tables[to], p.tables[from] = p.tables[from], cbt.Uniform(from)
-	p.rebuildMasks()
+	p.MoveTable(from, to)
+	p.setOwners()
 }

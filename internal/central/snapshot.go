@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"math"
 
-	"delta/internal/cbt"
 	"delta/internal/snapshot"
 )
 
 // idealState is Ideal's snapshot payload, stored under the "ideal" key
-// (the policy's Name is "ideal-central"). masks are derived from Assign on
-// restore.
+// (the policy's Name is "ideal-central"). Way ownership is derived from
+// Assign on restore.
 type idealState struct {
 	TickNext       uint64         `json:"tick_next"`
 	Alloc          []int          `json:"alloc"`
@@ -29,7 +28,7 @@ func (p *Ideal) SnapshotPolicy() (*snapshot.Policy, error) {
 		TickNext:       p.tick.Next(),
 		Alloc:          p.alloc,
 		Assign:         p.assign,
-		Tables:         make([]snapshot.CBT, p.n),
+		Tables:         p.SnapshotTables(),
 		HasSmooth:      p.smooth != nil,
 		SmoothBits:     snapshot.MatrixBits(p.smooth),
 		HistorySumBits: make([]uint64, p.n),
@@ -37,7 +36,6 @@ func (p *Ideal) SnapshotPolicy() (*snapshot.Policy, error) {
 		Stats:          p.Stats,
 	}
 	for i := 0; i < p.n; i++ {
-		s.Tables[i] = p.tables[i].Snapshot()
 		s.HistorySumBits[i] = math.Float64bits(p.history[i].sum)
 		s.HistoryCount[i] = p.history[i].count
 	}
@@ -46,6 +44,7 @@ func (p *Ideal) SnapshotPolicy() (*snapshot.Policy, error) {
 
 // RestorePolicy implements chip.PolicySnapshotter, overwriting the state
 // Attach initialized; the policy self-check revalidates assign↔masks.
+// Every check runs before any state is installed.
 func (p *Ideal) RestorePolicy(s *snapshot.Policy) error {
 	var st idealState
 	if err := s.DecodeState("ideal", &st); err != nil {
@@ -55,22 +54,18 @@ func (p *Ideal) RestorePolicy(s *snapshot.Policy) error {
 		len(st.HistorySumBits) != p.n || len(st.HistoryCount) != p.n {
 		return fmt.Errorf("central: snapshot policy state does not cover %d tiles", p.n)
 	}
-	tables := make([]*cbt.Table, p.n)
-	for i := range st.Tables {
-		t, err := cbt.FromSnapshot(st.Tables[i])
-		if err != nil {
-			return fmt.Errorf("central: tile %d: %w", i, err)
+	for i, row := range st.Assign {
+		if len(row) != p.n {
+			return fmt.Errorf("central: snapshot assign row %d has %d entries, want %d", i, len(row), p.n)
 		}
-		tables[i] = t
+	}
+	if err := p.RestoreTables(st.Tables); err != nil {
+		return fmt.Errorf("central: %w", err)
 	}
 	p.tick.Reset(st.TickNext)
 	copy(p.alloc, st.Alloc)
 	for i := 0; i < p.n; i++ {
-		if len(st.Assign[i]) != p.n {
-			return fmt.Errorf("central: snapshot assign row %d has %d entries, want %d", i, len(st.Assign[i]), p.n)
-		}
 		copy(p.assign[i], st.Assign[i])
-		p.tables[i] = tables[i]
 		p.history[i] = allocStat{sum: math.Float64frombits(st.HistorySumBits[i]), count: st.HistoryCount[i]}
 	}
 	p.smooth = nil
@@ -78,6 +73,6 @@ func (p *Ideal) RestorePolicy(s *snapshot.Policy) error {
 		p.smooth = snapshot.BitsMatrix[MissCurve](st.SmoothBits, p.n)
 	}
 	p.Stats = st.Stats
-	p.rebuildMasks()
+	p.setOwners()
 	return nil
 }

@@ -411,14 +411,11 @@ func (c *Chip) deliver(m sim.Msg, now uint64) {
 	h.HandleControl(m, now)
 }
 
-// InvalidateOwnerBuckets removes, from the given bank, every line owned by
+// invalidateOwnerBuckets removes, from the given bank, every line owned by
 // owner whose CBT bucket is in buckets, back-invalidating private copies.
 // It returns the number of LLC lines invalidated. This is the hardware bulk
-// invalidation unit of Section II-C3.
-func (c *Chip) InvalidateOwnerBuckets(owner, bank int, buckets map[int]bool) int {
-	if len(buckets) == 0 {
-		return 0
-	}
+// invalidation unit of Section II-C3; Enforcement.Remap drives it.
+func (c *Chip) invalidateOwnerBuckets(owner, bank int, buckets *cbt.BucketSet) int {
 	setBits := c.llcSetBits
 	n := c.Tiles[bank].LLC.InvalidateMatching(func(ln cache.Line) bool {
 		return int(ln.Owner) == owner && buckets[cbt.ExtractBucket(ln.Addr, setBits)]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"delta/internal/cache"
+	"delta/internal/cbt"
 	"delta/internal/sim"
 	"delta/internal/trace"
 )
@@ -220,11 +221,11 @@ func TestInvalidateOwnerBuckets(t *testing.T) {
 	if before == 0 {
 		t.Skip("no lines landed in bank 3")
 	}
-	all := map[int]bool{}
-	for b := 0; b < 256; b++ {
+	var all cbt.BucketSet
+	for b := range all {
 		all[b] = true
 	}
-	n := c.InvalidateOwnerBuckets(0, bank, all)
+	n := c.invalidateOwnerBuckets(0, bank, &all)
 	if uint64(n) != before {
 		t.Fatalf("invalidated %d of %d lines", n, before)
 	}

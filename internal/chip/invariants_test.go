@@ -11,15 +11,12 @@ import (
 
 // testRemapPolicy is a minimal exclusive-partitioning policy for exercising
 // the enforcement path without importing the real DELTA policy (which lives
-// above this package). It owns per-core CBTs and a per-bank way-ownership
-// array, and replays a byte script: every quantum it may move one way
-// between partitions and rebuild the affected CBTs, bulk-invalidating moved
-// buckets exactly like the real policies do.
+// above this package). It enforces through the same Enforcement as the real
+// policies and replays a byte script: every quantum it may move one way
+// between partitions and remap the two cores involved.
 type testRemapPolicy struct {
-	c      *Chip
+	Enforcement
 	n, w   int
-	tables []*cbt.Table
-	owner  [][]int16 // [bank][way] -> core
 	script []byte
 	pos    int
 }
@@ -31,16 +28,8 @@ func newTestRemapPolicy(script []byte) *testRemapPolicy {
 func (p *testRemapPolicy) Name() string { return "test-remap" }
 
 func (p *testRemapPolicy) Attach(c *Chip) {
-	p.c, p.n, p.w = c, c.Cores(), c.Ways()
-	p.tables = make([]*cbt.Table, p.n)
-	p.owner = make([][]int16, p.n)
-	for i := 0; i < p.n; i++ {
-		p.tables[i] = cbt.Uniform(i)
-		p.owner[i] = make([]int16, p.w)
-		for w := range p.owner[i] {
-			p.owner[i][w] = int16(i)
-		}
-	}
+	p.n, p.w = c.Cores(), c.Ways()
+	p.InitEnforcement(c)
 }
 
 func (p *testRemapPolicy) next() int {
@@ -58,64 +47,30 @@ func (p *testRemapPolicy) Tick(uint64) {
 		return // script exhausted
 	}
 	to, bank, way = to%p.n, bank%p.n, way%p.w
-	from := int(p.owner[bank][way])
+	from := int(p.owners[bank][way])
 	if from == to {
 		return
 	}
-	p.owner[bank][way] = int16(to)
+	p.SetOwner(bank, way, to)
 	p.rebuild(from)
 	p.rebuild(to)
 }
 
-// rebuild mirrors the real policies' remap step: recompute the core's CBT
-// from its way counts and bulk-invalidate every moved bucket.
+// rebuild remaps core to a table apportioned by its way counts, home bank
+// first.
 func (p *testRemapPolicy) rebuild(core int) {
-	count := make([]int, p.n)
-	for b := 0; b < p.n; b++ {
-		for w := 0; w < p.w; w++ {
-			if int(p.owner[b][w]) == core {
-				count[b]++
-			}
-		}
-	}
-	home := count[core]
+	home := p.Ways(core, core)
 	if home == 0 {
 		home = 1 // home bank anchors the table, as in the real policies
 	}
 	shares := []cbt.Share{{Bank: core, Ways: home}}
 	for b := 0; b < p.n; b++ {
-		if b != core && count[b] > 0 {
-			shares = append(shares, cbt.Share{Bank: b, Ways: count[b]})
+		if w := p.Ways(core, b); b != core && w > 0 {
+			shares = append(shares, cbt.Share{Bank: b, Ways: w})
 		}
 	}
-	next := cbt.BuildIncremental(p.tables[core], shares)
-	moves := cbt.Diff(p.tables[core], next)
-	p.tables[core] = next
-	for from, buckets := range cbt.MovedFrom(moves) {
-		set := make(map[int]bool, len(buckets))
-		for _, b := range buckets {
-			set[b] = true
-		}
-		p.c.InvalidateOwnerBuckets(core, from, set)
-	}
+	p.Remap(core, cbt.BuildIncremental(p.Table(core), shares))
 }
-
-func (p *testRemapPolicy) BankFor(core int, lineAddr uint64) int {
-	return p.tables[core].BankForLine(lineAddr, p.c.LLCSetBits())
-}
-
-func (p *testRemapPolicy) WayMask(core, bank int) uint64 {
-	var m uint64
-	for w := 0; w < p.w; w++ {
-		if int(p.owner[bank][w]) == core {
-			m |= 1 << uint(w)
-		}
-	}
-	return m
-}
-
-func (p *testRemapPolicy) Table(core int) *cbt.Table      { return p.tables[core] }
-func (p *testRemapPolicy) ExclusiveWayPartitioning() bool { return true }
 
 // remapScript generates a deterministic pseudo-random script.
 func remapScript(n int, seed byte) []byte {
@@ -198,8 +153,8 @@ func TestSnucaAliasSurvivesOwnerBucketInvalidation(t *testing.T) {
 	if c.Stats.SharedInserts == 0 {
 		t.Fatal("no shared lines inserted")
 	}
-	all := map[int]bool{}
-	for b := 0; b < cbt.NumBuckets; b++ {
+	var all cbt.BucketSet
+	for b := range all {
 		all[b] = true
 	}
 	countShared := func(bank int) (shared int) {
@@ -221,7 +176,7 @@ func TestSnucaAliasSurvivesOwnerBucketInvalidation(t *testing.T) {
 		// Invalidate the home core's lines across the FULL bucket range —
 		// the widest possible remap. Every shared line aliases some bucket
 		// in it, yet none may be removed.
-		n := c.InvalidateOwnerBuckets(bank, bank, all)
+		n := c.invalidateOwnerBuckets(bank, bank, &all)
 		if uint64(n) != ownedBefore {
 			t.Fatalf("bank %d: invalidated %d owned lines, occupancy said %d",
 				bank, n, ownedBefore)
@@ -372,7 +327,7 @@ func TestSweepCatchesInclusionBreak(t *testing.T) {
 func TestSweepCatchesWayMaskCorruption(t *testing.T) {
 	c := checkedChip(t, remapScript(3, 9))
 	p := c.Policy().(*testRemapPolicy)
-	expectViolation(t, c, "way masks", func() { p.owner[6][0] = -2 })
+	expectViolation(t, c, "way masks", func() { p.SetOwner(6, 0, NoOwner) })
 }
 
 func TestSweepCatchesCBTCorruption(t *testing.T) {

@@ -25,24 +25,23 @@ type Stats struct {
 	InvalLines       uint64 `json:"inval_lines"`
 }
 
-// Delta is the distributed partitioning policy. It implements chip.Policy.
+// Delta is the distributed partitioning policy. It implements chip.Policy,
+// enforcing its allocation through the embedded CBTs and WP units.
 type Delta struct {
+	chip.Enforcement
+
 	p Params
 	c *chip.Chip
 	n int // tiles (== cores == banks)
 	w int // ways per bank
 
-	// wayOwner[bank][way] is the partition with insertion rights to the
-	// way; this is the per-bank WP unit's state.
-	wayOwner [][]int16
-	// alloc[core][bank] counts ways core owns in bank (derived from
-	// wayOwner, maintained incrementally).
+	// alloc[core][bank] counts ways core owns in bank (mirrors the WP
+	// units' ownership, maintained incrementally).
 	alloc [][]int
 	// bankOrder[core] lists the banks core occupies, home first, then in
 	// acquisition order; it fixes the CBT range layout so expansions and
 	// retreats move few buckets.
 	bankOrder [][]int
-	tables    []*cbt.Table
 
 	// Per-core monitoring state, refreshed each inter-bank epoch.
 	curve []umon.Curve // in MPKI units
@@ -120,6 +119,7 @@ func (d *Delta) SetProcess(core, pid int) { d.pid[core] = pid }
 // algorithm stays asynchronous.
 func (d *Delta) Attach(c *chip.Chip) {
 	d.c = c
+	d.InitEnforcement(c)
 	if !d.recSet {
 		if r := c.Recorder(); r != nil {
 			d.rec = r
@@ -131,10 +131,8 @@ func (d *Delta) Attach(c *chip.Chip) {
 	if d.maxTotal == 0 {
 		d.maxTotal = c.Monitor(0).MaxWays()
 	}
-	d.wayOwner = make([][]int16, d.n)
 	d.alloc = make([][]int, d.n)
 	d.bankOrder = make([][]int, d.n)
-	d.tables = make([]*cbt.Table, d.n)
 	d.curve = make([]umon.Curve, d.n)
 	d.mlp = make([]float64, d.n)
 	d.pain = make([]float64, d.n)
@@ -144,14 +142,9 @@ func (d *Delta) Attach(c *chip.Chip) {
 	d.interTick = make([]*sim.Ticker, d.n)
 	d.intraTick = make([]*sim.Ticker, d.n)
 	for i := 0; i < d.n; i++ {
-		d.wayOwner[i] = make([]int16, d.w)
-		for w := range d.wayOwner[i] {
-			d.wayOwner[i][w] = int16(i)
-		}
 		d.alloc[i] = make([]int, d.n)
 		d.alloc[i][i] = d.w
 		d.bankOrder[i] = []int{i}
-		d.tables[i] = cbt.Uniform(i)
 		d.bankGain[i] = make([]float64, d.n)
 		d.challenged[i] = make(map[int]bool)
 		d.grantedAt = append(d.grantedAt, make([]uint64, d.n))
@@ -168,23 +161,6 @@ func (d *Delta) Attach(c *chip.Chip) {
 		d.intraTick[i] = sim.NewTicker(d.p.IntraInterval,
 			d.p.IntraInterval*uint64(i+1)/uint64(d.n))
 	}
-}
-
-// BankFor implements chip.Policy via the core's CBT.
-func (d *Delta) BankFor(core int, lineAddr uint64) int {
-	return d.tables[core].BankForLine(lineAddr, d.c.LLCSetBits())
-}
-
-// WayMask implements chip.Policy from the bank's WP unit.
-func (d *Delta) WayMask(core, bank int) uint64 {
-	var mask uint64
-	owner := d.wayOwner[bank]
-	for w := 0; w < d.w; w++ {
-		if int(owner[w]) == core {
-			mask |= 1 << uint(w)
-		}
-	}
-	return mask
 }
 
 // Tick implements chip.Policy: fire due inter-bank (per tile) and intra-bank
@@ -563,24 +539,24 @@ func (d *Delta) intraEpoch(b int, now uint64) {
 
 // --- enforcement plumbing ----------------------------------------------------
 
-// transferWays flips w ways in bank from one partition to another and
-// handles a full retreat of the loser. Way moves alone require no
-// invalidation: existing lines stay until the new owner's insertions evict
-// them, exactly as in way-partitioned hardware.
+// moveWays hands up to max of from's ways in bank to to, in the WP unit and
+// the allocation table, and returns how many moved. Way moves alone require
+// no invalidation: existing lines stay until the new owner's insertions
+// evict them, exactly as in way-partitioned hardware.
+func (d *Delta) moveWays(bank, from, to, max int) int {
+	moved := d.MoveWays(bank, from, to, max)
+	d.alloc[from][bank] -= moved
+	d.alloc[to][bank] += moved
+	return moved
+}
+
+// transferWays is the protocol's way move: it hands w ways in bank from one
+// partition to another and handles a full retreat of the loser.
 func (d *Delta) transferWays(bank, from, to, w int) {
 	if w <= 0 || from == to {
 		return
 	}
-	moved := 0
-	owner := d.wayOwner[bank]
-	for idx := 0; idx < d.w && moved < w; idx++ {
-		if int(owner[idx]) == from {
-			owner[idx] = int16(to)
-			moved++
-		}
-	}
-	d.alloc[from][bank] -= moved
-	d.alloc[to][bank] += moved
+	d.moveWays(bank, from, to, w)
 	if d.alloc[from][bank] == 0 && from != bank {
 		// Retreat (Section II-D example 2): notify the owner so it remaps
 		// and invalidates, and back off from that bank for a while. The
@@ -630,18 +606,9 @@ func (d *Delta) rebuildCBT(core int) {
 	if d.p.ContiguousCBT {
 		next = cbt.Build(shares)
 	} else {
-		next = cbt.BuildIncremental(d.tables[core], shares)
+		next = cbt.BuildIncremental(d.Table(core), shares)
 	}
-	moves := cbt.Diff(d.tables[core], next)
-	d.tables[core] = next
-	lines := 0
-	for from, buckets := range cbt.MovedFrom(moves) {
-		set := make(map[int]bool, len(buckets))
-		for _, b := range buckets {
-			set[b] = true
-		}
-		lines += d.c.InvalidateOwnerBuckets(core, from, set)
-	}
+	lines := d.Remap(core, next)
 	d.Stats.InvalLines += uint64(lines)
 	d.rec.Count("core.remaps", 1)
 	d.rec.Count("core.inval_lines", uint64(lines))
@@ -649,19 +616,12 @@ func (d *Delta) rebuildCBT(core int) {
 		Core: core, Lines: lines})
 }
 
-// Table implements chip.TableProvider for the invariant harness.
-func (d *Delta) Table(core int) *cbt.Table { return d.tables[core] }
-
-// ExclusiveWayPartitioning implements chip.ExclusivePartitioner: DELTA's WP
-// units give every way exactly one owner.
-func (d *Delta) ExclusiveWayPartitioning() bool { return true }
-
 // CheckInvariants implements chip.SelfChecker. It validates the policy's
 // internal bookkeeping against its ground truth:
-//   - every wayOwner entry names a real partition, and recounting wayOwner
-//     per (bank, partition) reproduces the incrementally maintained alloc
-//     table exactly (per-bank allocations therefore sum to the bank's
-//     associativity);
+//   - recounting the WP units' ownership per (bank, partition) reproduces
+//     the incrementally maintained alloc table exactly, and every way of
+//     every bank has an owner (per-bank allocations therefore sum to the
+//     bank's associativity);
 //   - no core's chip-wide allocation exceeds maxTotal (the paper's 6/24 MB
 //     per-application cap);
 //   - the home bank never drops below the MinWays inclusion reserve;
@@ -673,25 +633,21 @@ func (d *Delta) ExclusiveWayPartitioning() bool { return true }
 // of the table by design (the rebuild rides the response message). Table
 // well-formedness itself is checked by the chip via chip.TableProvider.
 func (d *Delta) CheckInvariants() error {
-	recount := make([][]int, d.n)
-	for p := range recount {
-		recount[p] = make([]int, d.n)
-	}
 	for b := 0; b < d.n; b++ {
-		for way, p := range d.wayOwner[b] {
-			if int(p) < 0 || int(p) >= d.n {
-				return fmt.Errorf("delta: bank %d way %d owned by nonexistent partition %d",
-					b, way, p)
-			}
-			recount[p][b]++
+		owned := 0
+		for p := 0; p < d.n; p++ {
+			owned += d.Ways(p, b)
+		}
+		if owned != d.w {
+			return fmt.Errorf("delta: bank %d has %d owned ways of %d", b, owned, d.w)
 		}
 	}
 	for p := 0; p < d.n; p++ {
 		total := 0
 		for b := 0; b < d.n; b++ {
-			if d.alloc[p][b] != recount[p][b] {
-				return fmt.Errorf("delta: alloc[%d][%d] = %d but wayOwner recount = %d",
-					p, b, d.alloc[p][b], recount[p][b])
+			if got := d.Ways(p, b); d.alloc[p][b] != got {
+				return fmt.Errorf("delta: alloc[%d][%d] = %d but the WP unit grants %d",
+					p, b, d.alloc[p][b], got)
 			}
 			total += d.alloc[p][b]
 		}

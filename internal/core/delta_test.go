@@ -327,7 +327,8 @@ func TestCheckInvariantsCatchesAllocDrift(t *testing.T) {
 		undo func()
 	}{
 		{"alloc drift", func() { d.alloc[0][0]-- }, func() { d.alloc[0][0]++ }},
-		{"foreign way owner", func() { d.wayOwner[1][0] = 99 }, func() { d.wayOwner[1][0] = 1 }},
+		{"ownerless way", func() { d.SetOwner(1, 0, chip.NoOwner) }, func() { d.SetOwner(1, 0, 1) }},
+		{"way owner drift", func() { d.SetOwner(1, 0, 2) }, func() { d.SetOwner(1, 0, 1) }},
 		{"bankOrder duplicate",
 			func() { d.bankOrder[2] = []int{2, 3, 3} },
 			func() { d.bankOrder[2] = []int{2} }},

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"delta/internal/cbt"
 	"delta/internal/umon"
 )
 
@@ -22,27 +21,14 @@ import (
 // carry guards: a challenge from a partition whose tile no longer runs a
 // workload fails, and a won challenge whose winner vanished meanwhile clears
 // the gain register it seeded so the stranded ways drain back through the
-// ordinary intra-bank moves. Invariants (alloc/wayOwner agreement, the
+// ordinary intra-bank moves. Invariants (alloc/WP-unit agreement, the
 // MinWays home reserve, the chip-wide cap) hold at every step.
 
-// relabelWays reassigns up to max ways of bank from partition from to
-// partition to, updating the allocation table. Unlike transferWays it has no
-// retreat side effects — it is the membership primitive, not a protocol
-// move. Returns the number of ways moved.
+// relabelWays is the membership way move: moveWays without transferWays's
+// retreat side effects, marking the bank's gain registers for a fresh
+// intra-bank comparison.
 func (d *Delta) relabelWays(bank, from, to, max int) int {
-	if max <= 0 || from == to {
-		return 0
-	}
-	moved := 0
-	owner := d.wayOwner[bank]
-	for idx := 0; idx < d.w && moved < max; idx++ {
-		if int(owner[idx]) == from {
-			owner[idx] = int16(to)
-			moved++
-		}
-	}
-	d.alloc[from][bank] -= moved
-	d.alloc[to][bank] += moved
+	moved := d.moveWays(bank, from, to, max)
 	if moved > 0 {
 		d.gainDirty[bank] = true
 	}
@@ -225,7 +211,7 @@ func (d *Delta) WorkloadMigrated(from, to int, now uint64) {
 	// The CBT travels: rebuilding incrementally from the thread's old table
 	// preserves bucket→bank assignments wherever the shares allow, so the
 	// relabeled lines in surviving buckets keep hitting.
-	d.tables[to], d.tables[from] = d.tables[from], cbt.Uniform(from)
+	d.MoveTable(from, to)
 	d.rebuildCBT(to)
 	d.rebuildCBT(from)
 	for _, b := range touched {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"delta/internal/cbt"
 	"delta/internal/sim"
 	"delta/internal/snapshot"
 	"delta/internal/umon"
@@ -85,9 +84,9 @@ type curveState struct {
 // SnapshotPolicy implements chip.PolicySnapshotter.
 func (d *Delta) SnapshotPolicy() (*snapshot.Policy, error) {
 	p := state{
-		WayOwner:      d.wayOwner,
+		WayOwner:      d.Owners(),
 		BankOrder:     d.bankOrder,
-		Tables:        make([]snapshot.CBT, d.n),
+		Tables:        d.SnapshotTables(),
 		Curves:        make([]curveState, d.n),
 		MlpBits:       snapshot.FloatBits(d.mlp),
 		PainBits:      snapshot.FloatBits(d.pain),
@@ -103,7 +102,6 @@ func (d *Delta) SnapshotPolicy() (*snapshot.Policy, error) {
 		Stats:         d.Stats,
 	}
 	for i := 0; i < d.n; i++ {
-		p.Tables[i] = d.tables[i].Snapshot()
 		p.Curves[i] = snapCurve(d.curve[i])
 		members := make([]int, 0, len(d.challenged[i]))
 		for t := range d.challenged[i] {
@@ -118,7 +116,7 @@ func (d *Delta) SnapshotPolicy() (*snapshot.Policy, error) {
 }
 
 // RestorePolicy implements chip.PolicySnapshotter: it overwrites the state
-// Attach initialized. alloc is recomputed from the restored wayOwner; the
+// Attach initialized. alloc is recomputed from the restored way owners; the
 // policy self-check (CheckInvariants) revalidates the pair afterwards.
 func (d *Delta) RestorePolicy(s *snapshot.Policy) error {
 	var p state
@@ -136,34 +134,25 @@ func (d *Delta) RestorePolicy(s *snapshot.Policy) error {
 		if len(p.WayOwner[b]) != d.w {
 			return fmt.Errorf("core: snapshot bank %d has %d ways, want %d", b, len(p.WayOwner[b]), d.w)
 		}
-	}
-	tables := make([]*cbt.Table, d.n)
-	for i := range p.Tables {
-		t, err := cbt.FromSnapshot(p.Tables[i])
-		if err != nil {
-			return fmt.Errorf("core: tile %d: %w", i, err)
-		}
-		tables[i] = t
-	}
-	for b := range p.WayOwner {
-		copy(d.wayOwner[b], p.WayOwner[b])
-	}
-	for i := 0; i < d.n; i++ {
-		for b := 0; b < d.n; b++ {
-			d.alloc[i][b] = 0
-		}
-	}
-	for b := range d.wayOwner {
-		for _, owner := range d.wayOwner[b] {
+		for _, owner := range p.WayOwner[b] {
 			if int(owner) < 0 || int(owner) >= d.n {
 				return fmt.Errorf("core: snapshot way owner %d out of range", owner)
 			}
-			d.alloc[owner][b]++
+		}
+	}
+	if err := d.RestoreTables(p.Tables); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	for b := range p.WayOwner {
+		for way, owner := range p.WayOwner[b] {
+			d.SetOwner(b, way, int(owner))
 		}
 	}
 	for i := 0; i < d.n; i++ {
+		for b := 0; b < d.n; b++ {
+			d.alloc[i][b] = d.Ways(i, b)
+		}
 		d.bankOrder[i] = append(d.bankOrder[i][:0], p.BankOrder[i]...)
-		d.tables[i] = tables[i]
 		d.curve[i] = unsnapCurve(p.Curves[i])
 		d.mlp[i] = math.Float64frombits(p.MlpBits[i])
 		d.pain[i] = math.Float64frombits(p.PainBits[i])
