@@ -129,6 +129,7 @@ func main() {
 	})
 	for i := range sims {
 		report(strings.TrimSpace(policies[i]), *cores, results[i], sims[i])
+		sims[i].Close()
 	}
 
 	// With a private run in the set, every other policy's slowdown vector

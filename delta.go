@@ -12,6 +12,7 @@
 //	...
 //	res := sim.Run()
 //	fmt.Println(res.GeoMeanIPC())
+//	sim.Close() // optional: recycles the chip's arrays for the next simulator
 //
 // Policies resolve by name through a registry (see Policies and
 // RegisterPolicy). Seven are built in: the unpartitioned shared S-NUCA
@@ -35,6 +36,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"delta/internal/bankbw"
 	"delta/internal/chip"
@@ -174,6 +176,32 @@ type Simulator struct {
 	lastSnap    *Snapshot
 	lastEscaped bool
 	spare       *Snapshot
+
+	closed atomic.Bool
+}
+
+// Close releases the simulator's cache and UMON arrays to a process-wide
+// free list, from which simulators built later draw theirs instead of
+// allocating: a process that runs many simulations in sequence (a service
+// worker, a campaign) then allocates roughly one chip per concurrent run
+// rather than one per run. Closing is optional — a simulator that is never
+// closed is garbage-collected as before — and changes no result.
+//
+// Call Close once the results are read: Results, Snapshots and
+// checkpoints already returned stay valid, but any later method call on the
+// simulator panics. Close is idempotent and must not race a running RunCtx.
+func (s *Simulator) Close() {
+	if s.closed.Swap(true) {
+		return
+	}
+	s.chip.Release()
+}
+
+// live panics on a closed simulator.
+func (s *Simulator) live() {
+	if s.closed.Load() {
+		panic("delta: Simulator used after Close")
+	}
 }
 
 // Canonical returns the configuration with every default resolved, exactly
@@ -315,6 +343,7 @@ func (s *Simulator) SetWorkload(coreID int, w Workload) {
 // panicking) on an out-of-range core, an unknown application, or a call
 // after Run.
 func (s *Simulator) SetWorkloadE(coreID int, w Workload) error {
+	s.live()
 	if s.ran {
 		return errors.New("delta: SetWorkload after Run")
 	}
@@ -355,6 +384,7 @@ func (s *Simulator) LoadMix(name string) {
 // an error (instead of panicking) on an unknown mix, a chip whose core count
 // is not a multiple of 16, or a call after Run.
 func (s *Simulator) LoadMixE(name string) error {
+	s.live()
 	if s.ran {
 		return errors.New("delta: LoadMix after Run")
 	}
@@ -429,6 +459,7 @@ var ErrCanceled = errors.New("delta: run canceled")
 // measured so far (partial: cores that never crossed their budget report
 // their progress at the stop point).
 func (s *Simulator) RunCtx(ctx context.Context) (Result, error) {
+	s.live()
 	if s.ran {
 		return Result{}, errors.New("delta: Run called twice")
 	}
@@ -480,7 +511,10 @@ func (s *Simulator) RunCtx(ctx context.Context) (Result, error) {
 // Policy returns the partitioning policy instance the simulator runs, for
 // introspection: type-assert it to the concrete policy type (bankbw.Unwrap
 // reaches the policy a bandwidth regulator wraps).
-func (s *Simulator) Policy() Policy { return s.chip.Policy() }
+func (s *Simulator) Policy() Policy {
+	s.live()
+	return s.chip.Policy()
+}
 
 // GeoMeanIPC is the paper's per-workload performance metric: the geometric
 // mean over cores that measured a positive IPC. Cores that retired no

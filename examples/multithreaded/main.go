@@ -37,6 +37,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		defer sim.Close() // optional: recycles the chip for the next run
 		gens := app.ThreadGenerators(16, 1)
 		for t, g := range gens {
 			sim.SetWorkload(t, delta.Workload{Generator: g, SharedAddressSpace: true})

@@ -38,6 +38,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		defer sim.Close() // optional: recycles the chip for the next run
 		sim.SetWorkload(0, delta.Workload{Generator: mkPhased()})
 		for i := 1; i < 16; i++ {
 			sim.SetWorkload(i, delta.Workload{App: "omnetpp"})

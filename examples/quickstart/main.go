@@ -22,6 +22,9 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		// Optional: hands the chip's arrays to the next simulator built
+		// in this process instead of leaving them to the garbage collector.
+		defer sim.Close()
 		sim.LoadMix("w2") // Table IV: thrashing + sensitive apps
 		return sim.Run()
 	}

@@ -26,6 +26,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"delta/internal/slab"
 )
 
 // LineBytes is the cache line size in bytes across the whole hierarchy.
@@ -155,7 +157,8 @@ type Config struct {
 }
 
 // New builds a cache. Geometry must be a power-of-two number of sets and at
-// most 64 ways (one uint64 of per-set state).
+// most 64 ways (one uint64 of per-set state). Its arrays come zeroed from the
+// slab free list, so a cache built on released arrays equals a fresh one.
 func New(cfg Config) *Cache {
 	if cfg.SizeBytes <= 0 || cfg.Ways <= 0 || cfg.Ways > 64 {
 		panic(fmt.Sprintf("cache: invalid config %+v", cfg))
@@ -170,10 +173,10 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		Sets:    sets,
 		Ways:    cfg.Ways,
-		words:   make([]uint64, 2*n),
+		words:   slab.Words(2 * n),
 		stride:  2 * cfg.Ways,
-		valid:   make([]uint64, sets),
-		dirty:   make([]uint64, sets),
+		valid:   slab.Words(sets),
+		dirty:   slab.Words(sets),
 		setMask: uint64(sets - 1),
 	}
 	if cfg.Ways == 64 {
@@ -187,18 +190,30 @@ func New(cfg Config) *Cache {
 		}
 		c.trackOwners = true
 		c.occupancy = make([]uint64, cfg.Partitions)
-		c.owners = make([]int16, n)
+		c.owners = slab.Shorts(n)
 		c.sharerBits = 8
 		for c.sharerBits < 64 && int(c.sharerBits) < cfg.Partitions {
 			c.sharerBits *= 2
 		}
 		c.sharerLog = uint(bits.TrailingZeros(64 / c.sharerBits))
 		perWord := 1 << c.sharerLog
-		c.sharers = make([]uint64, (n+perWord-1)/perWord)
+		c.sharers = slab.Words((n + perWord - 1) / perWord)
 		c.sharerField = ^uint64(0) >> (64 - c.sharerBits)
 		c.sharerLimit = ^uint64(0) >> (64 - min(cfg.Partitions, 64))
 	}
 	return c
+}
+
+// Release hands the cache's arrays to the slab free list for reuse by
+// caches built later and drops every reference to them, so the cache must
+// not be used again. Releasing twice returns nothing the second time.
+func (c *Cache) Release() {
+	slab.PutWords(c.words)
+	slab.PutWords(c.valid)
+	slab.PutWords(c.dirty)
+	slab.PutShorts(c.owners)
+	slab.PutWords(c.sharers)
+	c.words, c.valid, c.dirty, c.owners, c.sharers = nil, nil, nil, nil, nil
 }
 
 // SizeBytes returns the cache capacity.

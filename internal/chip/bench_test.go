@@ -121,6 +121,24 @@ func BenchmarkChipNew16(b *testing.B) {
 	}
 }
 
+// BenchmarkChipNewReleased16 is BenchmarkChipNew16 with every chip released
+// after it is built, the lifecycle of a service worker's jobs: each New
+// draws the previous chip's cache and UMON arrays from the slab free list,
+// so what it allocates is only the state outside those arrays.
+// scripts/bench_regression.sh gates its B/op at a small fraction of
+// BenchmarkChipNew16's, so a lost Release or a free list that stops
+// recycling fails CI.
+func BenchmarkChipNewReleased16(b *testing.B) {
+	cfg := DefaultConfig(16)
+	cfg.UmonSampleEvery = 4
+	New(cfg, NewSnuca()).Release() // stock the free list
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(cfg, NewSnuca()).Release()
+	}
+}
+
 // BenchmarkChipRunWarm is the same run with the warmup simulated
 // instruction-by-instruction (the pre-fast-forward behaviour).
 func BenchmarkChipRunWarm(b *testing.B) {

@@ -236,6 +236,9 @@ type Chip struct {
 	// departure order; Results prepends them to the live tiles' results.
 	departed []CoreResult
 
+	// released is set by Release, after which the chip must not be used.
+	released bool
+
 	// Telemetry sampler state (rec == nil means disabled).
 	rec          telemetry.Recorder
 	sampleEvery  int
@@ -337,6 +340,32 @@ func New(cfg Config, p Policy) *Chip {
 		c.interleaved = ip.LineInterleaved()
 	}
 	return c
+}
+
+// Release hands every tile's cache and monitor arrays to the slab free list
+// (internal/slab), so chips built later reuse them instead of allocating.
+// Call it once the run's results have been read. It is idempotent, and a
+// released chip panics on RunCtx, SetWorkload, FastForward, Snapshot,
+// Restore and Fingerprint. A chip that is never released is collected as
+// usual.
+func (c *Chip) Release() {
+	if c.released {
+		return
+	}
+	c.released = true
+	for _, t := range c.Tiles {
+		t.L1.Release()
+		t.L2.Release()
+		t.LLC.Release()
+		t.Mon.Release()
+	}
+}
+
+// mustLive panics on a released chip.
+func (c *Chip) mustLive() {
+	if c.released {
+		panic("chip: use after Release")
+	}
 }
 
 // interleavedPolicy marks policies whose BankFor consumes the low line bits
@@ -480,6 +509,7 @@ func (c *Chip) SnucaSetIdx(t *Tile, lineAddr uint64) int {
 // (clock zero) the formula reduces to the per-core layout, so static runs
 // are unaffected.
 func (c *Chip) SetWorkload(core int, gen trace.Generator, private bool) {
+	c.mustLive()
 	t := c.Tiles[core]
 	t.gen = gen
 	if private {
@@ -766,6 +796,7 @@ func (c *Chip) Run(warmup, budget uint64) {
 // context's error. Measurements latched so far stay readable through
 // Results(); end-of-run telemetry is not published for a canceled run.
 func (c *Chip) RunCtx(ctx context.Context, warmup, budget uint64) error {
+	c.mustLive()
 	if budget == 0 {
 		panic("chip: zero instruction budget")
 	}

@@ -420,3 +420,42 @@ func TestMigrateThenArriveDistinctAddressSpaces(t *testing.T) {
 		t.Errorf("arrival on vacated tile reused the migrated thread's address space %#x", got)
 	}
 }
+
+// TestReleasedChipPanicsOnUse: Release is idempotent, a chip built after
+// it runs exactly like the released one did, and the released chip's entry
+// points panic with the named message instead of touching arrays it no
+// longer owns.
+func TestReleasedChipPanicsOnUse(t *testing.T) {
+	run := func() (*Chip, string) {
+		c := New(testConfig(16), NewSnuca())
+		for i := 0; i < 16; i++ {
+			c.SetWorkload(i, bigRegion(256, uint64(i)+1), true)
+		}
+		c.Run(10000, 20000)
+		return c, c.Fingerprint()
+	}
+	c, want := run()
+	c.Release()
+	c.Release()
+	if _, got := run(); got != want {
+		t.Fatal("a chip built on released arrays ran differently")
+	}
+	calls := map[string]func(){
+		"RunCtx":      func() { c.Run(0, 1000) },
+		"SetWorkload": func() { c.SetWorkload(0, smallRegion(1), true) },
+		"FastForward": func() { c.FastForward(1000) },
+		"Snapshot":    func() { _, _ = c.Snapshot() },
+		"Restore":     func() { _ = c.Restore(nil) },
+		"Fingerprint": func() { _ = c.Fingerprint() },
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if msg, _ := recover().(string); msg != "chip: use after Release" {
+					t.Fatalf("%s after Release: panic %q, want the named use-after-Release panic", name, msg)
+				}
+			}()
+			call()
+		})
+	}
+}

@@ -19,6 +19,7 @@ import (
 // FastForward must be called after SetWorkload and before Run, on a chip that
 // has not advanced. It returns the number of tiles seeded.
 func (c *Chip) FastForward(warmup uint64) int {
+	c.mustLive()
 	if c.now != 0 {
 		panic("chip: FastForward on a chip that has already run")
 	}

@@ -195,6 +195,7 @@ func (c *Chip) checkMonotone() error {
 // produce byte-identical fingerprints; the determinism invariant tests
 // compare them directly.
 func (c *Chip) Fingerprint() string {
+	c.mustLive()
 	var b strings.Builder
 	for _, r := range c.Results() {
 		fmt.Fprintf(&b, "core %d: %+v\n", r.Core, r)

@@ -40,6 +40,7 @@ func (c *Chip) Snapshot() (*snapshot.Chip, error) {
 // arrays and UMON stacks) of the capture s already holds; the result equals
 // a fresh Snapshot's. On error s is left partially overwritten.
 func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
+	c.mustLive()
 	events := c.events.Pending()
 	tiles := s.Tiles
 	if tiles == nil || len(tiles) != len(c.Tiles) {
@@ -154,6 +155,7 @@ func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
 // and counter is overwritten. In-flight control messages are rebound to the
 // policy's ControlHandler with their exact (cycle, sequence) ordering.
 func (c *Chip) Restore(s *snapshot.Chip) error {
+	c.mustLive()
 	if len(s.Tiles) != len(c.Tiles) {
 		return fmt.Errorf("chip: snapshot has %d tiles, chip has %d", len(s.Tiles), len(c.Tiles))
 	}

@@ -155,8 +155,11 @@ func (s Scale) RunMix(policy string, mix workloads.Mix, cores int) MixRun {
 // generator per core (each in its own address space when private), lets
 // setup adjust the loaded chip, fast-forwards when the scale asks, runs the
 // measured window and returns the outcome with Policy, Mix and Cores unset.
+// The chip is released once its outcome is read, so a campaign's later runs
+// reuse its arrays.
 func (s Scale) simulate(cfg chip.Config, p chip.Policy, gens []trace.Generator, private bool, setup func(*chip.Chip)) MixRun {
 	c := chip.New(cfg, p)
+	defer c.Release()
 	for i, g := range gens {
 		c.SetWorkload(i, g, private)
 	}

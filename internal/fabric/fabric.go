@@ -153,6 +153,12 @@ type Coordinator struct {
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 
+	// transport carries every request to every worker. One job watcher per
+	// tracked job polls its worker concurrently, so each worker may hold
+	// up to MaxBatch idle connections; the default transport keeps two,
+	// and almost every poll would dial a fresh connection.
+	transport *http.Transport
+
 	mu       sync.Mutex
 	workers  map[string]*worker
 	ring     *ring
@@ -188,6 +194,9 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no fleet-wide cap; the per-worker one bounds it
+	tr.MaxIdleConnsPerHost = cfg.MaxBatch
 	c := &Coordinator{
 		cfg:     cfg,
 		shared:  telemetry.NewShared(),
@@ -196,6 +205,8 @@ func New(cfg Config) (*Coordinator, error) {
 		cancel:  cancel,
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*fleetJob),
+
+		transport: tr,
 	}
 	if cfg.ResultDir != "" {
 		st, err := store.Open(cfg.ResultDir)
@@ -256,6 +267,7 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		c.wg.Wait()
+		c.transport.CloseIdleConnections()
 		close(done)
 	}()
 	select {
@@ -266,10 +278,12 @@ func (c *Coordinator) Shutdown(ctx context.Context) error {
 	}
 }
 
-// newWorkerClient builds the per-worker client: a short retry policy rides
-// out momentary queue-full and restart windows without masking real loss.
-func newWorkerClient(url string) *client.Client {
+// newWorkerClient builds the per-worker client on the shared transport: a
+// short retry policy rides out momentary queue-full and restart windows
+// without masking real loss.
+func (c *Coordinator) newWorkerClient(url string) *client.Client {
 	cl := client.New(url)
+	cl.HTTPClient = &http.Client{Transport: c.transport}
 	cl.Retry = &client.RetryPolicy{MaxAttempts: 3, BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
 	return cl
 }
@@ -280,7 +294,7 @@ func (c *Coordinator) addWorkerLocked(url string) {
 		w.fails = 0
 		return
 	}
-	c.workers[url] = &worker{url: url, c: newWorkerClient(url), state: api.WorkerUp}
+	c.workers[url] = &worker{url: url, c: c.newWorkerClient(url), state: api.WorkerUp}
 }
 
 // rebuildRingLocked recomputes the hash ring from the up workers.

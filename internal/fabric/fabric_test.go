@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -422,5 +424,66 @@ func TestNoWorkers(t *testing.T) {
 	body := decode[api.ErrorBody](t, resp)
 	if body.Error.Code != "no_workers" {
 		t.Fatalf("error code %q", body.Error.Code)
+	}
+}
+
+// TestBatchReusesWorkerConnections: every in-flight job has a watcher
+// polling its worker, and the polls ride kept-alive connections, so a batch
+// opens about one connection per job in flight rather than one per poll.
+// With the default transport's two idle connections per host, nearly every
+// poll dialed anew (a 32-job batch opened hundreds).
+func TestBatchReusesWorkerConnections(t *testing.T) {
+	const jobs = 32
+	srv := server.New(server.Config{Workers: 2, QueueDepth: jobs})
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		ts.Close()
+	})
+	_, cts := newCoord(t, Config{Workers: []string{ts.URL}})
+
+	var breq api.BatchRequest
+	for i := 0; i < jobs; i++ {
+		// Long enough for every watcher to poll many times.
+		r := quickReq(uint64(i + 1))
+		r.WarmupInstructions, r.BudgetInstructions = 20_000, 20_000
+		breq.Jobs = append(breq.Jobs, r)
+	}
+	resp := postJSON(t, cts.URL+"/v1/batch", breq)
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	done := 0
+	for sc.Scan() {
+		var item api.BatchItem
+		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if item.Status != api.StateDone {
+			t.Fatalf("item %d settled as %s (%s)", item.Index, item.Status, item.Error)
+		}
+		done++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if done != jobs {
+		t.Fatalf("got %d batch items, want %d", done, jobs)
+	}
+	// One connection per job in flight, plus a few for the health probe
+	// and dials that raced a connection being returned.
+	n := opened.Load()
+	t.Logf("%d connections for %d jobs", n, jobs)
+	if n > jobs+8 {
+		t.Fatalf("coordinator opened %d connections to its worker for a %d-job batch, want at most %d", n, jobs, jobs+8)
 	}
 }

@@ -359,6 +359,9 @@ func (s *Server) runJob(j *job) {
 		j.finish(api.StateFailed, err.Error(), nil)
 		return
 	}
+	// Recycle the chip's arrays for the next job once this one has read
+	// its results and written any suspend checkpoint.
+	defer sim.Close()
 	s.shared.Count("served.simulations.executed", 1)
 	res, runErr := sim.RunCtx(ctx)
 	closeSink()

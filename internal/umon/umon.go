@@ -21,7 +21,11 @@
 // counter overhead; the curve is linearly interpolated inside a bucket.
 package umon
 
-import "fmt"
+import (
+	"fmt"
+
+	"delta/internal/slab"
+)
 
 // Config describes a monitor.
 type Config struct {
@@ -52,9 +56,10 @@ type Monitor struct {
 	scale   float64 // multiply sampled counts to estimate full-cache counts
 
 	// stacks[i] is the LRU stack (most-recent first) for sampled set i: a
-	// view into slot i of one slab of depth-word slots, its capacity ending
-	// at the slot's end.
+	// view into slot i of slab, which holds len(stacks) depth-word slots;
+	// each view's capacity ends at its slot's end.
 	stacks [][]uint64
+	slab   []uint64
 	depth  int
 
 	// Cumulative counters; Epoch() snapshots and diffs them.
@@ -98,14 +103,24 @@ const initialDepth = 8
 
 // grow re-provisions the slab at the given per-stack depth (never below the
 // deepest stack) and re-points every stack view into it, keeping contents.
+// The outgrown slab is left to the garbage collector rather than the free
+// list, so a monitor that is never released retains nothing extra.
 func (m *Monitor) grow(depth int) {
-	slab := make([]uint64, len(m.stacks)*depth)
+	next := slab.Words(len(m.stacks) * depth)
 	for i, st := range m.stacks {
 		lo := i * depth
-		n := copy(slab[lo:lo+depth], st)
-		m.stacks[i] = slab[lo : lo+n : lo+depth]
+		n := copy(next[lo:lo+depth], st)
+		m.stacks[i] = next[lo : lo+n : lo+depth]
 	}
-	m.depth = depth
+	m.slab, m.depth = next, depth
+}
+
+// Release hands the monitor's stack slab to the free list for reuse by
+// monitors built later, and drops it with every view into it: the monitor
+// must not be used again. Releasing twice returns nothing the second time.
+func (m *Monitor) Release() {
+	slab.PutWords(m.slab)
+	m.slab, m.stacks = nil, nil
 }
 
 // MaxWays returns the largest allocation the monitor evaluates.

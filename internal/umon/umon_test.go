@@ -419,3 +419,51 @@ func TestAccessMatchesMoveToFrontReference(t *testing.T) {
 		checkDepth(t, m)
 	}
 }
+
+// TestReleasedSlabBuildsFreshMonitor: a monitor whose stacks grew deep is
+// released; a monitor built next draws its slabs, equals a fresh one field
+// for field, and grows through the released slabs exactly as a fresh one
+// grows. The released monitor keeps no view into its slab. The race
+// detector's pools drop puts at random, so the test repeats until a
+// released slab is seen reused.
+func TestReleasedSlabBuildsFreshMonitor(t *testing.T) {
+	feed := func(m *Monitor, seed uint64, n int) {
+		r := sim.NewRng(seed)
+		for i := 0; i < n; i++ {
+			m.Access(r.Uint64n(300)*512 + uint64(r.Intn(16))*4)
+		}
+	}
+	reused := 0
+	for i := 0; i < 10; i++ {
+		old := New(paper64())
+		feed(old, uint64(i+1), 30_000)
+		if deepest(old) <= 4*initialDepth {
+			t.Fatalf("stacks only %d deep", deepest(old))
+		}
+		grown := &old.slab[0]
+		old.Release()
+		if old.slab != nil || old.stacks != nil {
+			t.Fatal("released monitor kept its slab or a view into it")
+		}
+		old.Release() // a second Release returns nothing
+
+		m, fresh := New(paper64()), New(paper64())
+		if !reflect.DeepEqual(m, fresh) {
+			t.Fatal("monitor built on a released slab differs from a fresh one")
+		}
+		feed(m, 77, 30_000)
+		feed(fresh, 77, 30_000)
+		if &m.slab[0] == grown {
+			reused++
+		}
+		if !reflect.DeepEqual(m.Snapshot(), fresh.Snapshot()) || !reflect.DeepEqual(m.PeekCurve(), fresh.PeekCurve()) {
+			t.Fatal("monitor grown through released slabs diverges from a fresh one")
+		}
+		checkDepth(t, m)
+		m.Release()
+		fresh.Release()
+	}
+	if reused == 0 {
+		t.Fatal("growth never drew a released slab")
+	}
+}

@@ -34,6 +34,7 @@ func MeasureApp(a App, warm, budget uint64, seed uint64) Profile {
 		c.SetWorkload(0, a.Spec.Build(seed), true)
 		c.Run(warm, budget)
 		r := c.Results()[0]
+		c.Release()
 		p.Points[i] = SizePoint{CacheKB: kb, IPC: r.IPC, MemMPKI: r.MemMPKI}
 	}
 	return p

@@ -21,6 +21,11 @@
 #   BenchmarkChipNew16     must stay under CHIPNEW16_BYTES_CEILING B/op (a
 #     16-core chip.New measured 3.72 MB, 5.94 MB with four words per line
 #     in every cache; the ceiling is about 1.3x the measurement)
+#   BenchmarkChipNewReleased16 must stay under CHIPNEWREL16_BYTES_CEILING
+#     B/op (a 16-core chip.New followed by Release, the free list stocked
+#     beforehand, measured 0.10 MB: only the state outside the recycled
+#     cache and UMON arrays; a lost Release or a free list that stops
+#     recycling puts it back near ChipNew16's 3.72 MB)
 #   BenchmarkSnapshotCodec/decode must stay under SNAPDECODE_ALLOC_CEILING
 #     allocs/op (the canonical parser on a 16-core churn checkpoint measured
 #     3033; the encoding/json fallback allocates about 12850, so a snapshot
@@ -32,14 +37,16 @@ cd "$(dirname "$0")/.."
 CHIPRUN_ALLOC_CEILING=1460
 CHIPNEW_BYTES_CEILING=23700000
 CHIPNEW16_BYTES_CEILING=4850000
+CHIPNEWREL16_BYTES_CEILING=400000
 SNAPDECODE_ALLOC_CEILING=4500
 
 # AccessPath iterates per memory reference (~300ns each): 10000x is
 # milliseconds. ChipRun iterates whole runs (~200ms each): keep it at 1x.
 ap=$(go test -run '^$' -bench 'BenchmarkAccessPath' -benchtime 10000x ./internal/chip)
 cr=$(go test -run '^$' -bench 'BenchmarkChipRun$' -benchtime 1x ./internal/chip)
-# ChipNew builds a 64-core chip (~10-25ms each), ChipNew16 a 16-core one.
-cn=$(go test -run '^$' -bench 'BenchmarkChipNew(16)?$' -benchtime 3x ./internal/chip)
+# ChipNew builds a 64-core chip (~10-25ms each), ChipNew16 a 16-core one,
+# ChipNewReleased16 a 16-core one it then releases.
+cn=$(go test -run '^$' -bench 'BenchmarkChipNew(16|Released16)?$' -benchtime 3x ./internal/chip)
 sd=$(go test -run '^$' -bench 'BenchmarkSnapshotCodec/decode$' -benchtime 3x .)
 out=$(printf '%s\n%s\n%s\n%s\n' "${ap}" "${cr}" "${cn}" "${sd}")
 echo "${out}"
@@ -71,6 +78,12 @@ while read -r name _ _ _ bytes _ allocs _; do
       FAIL=1
     fi
     ;;
+  BenchmarkChipNewReleased16 | BenchmarkChipNewReleased16-*)
+    if [ "${bytes}" -gt "${CHIPNEWREL16_BYTES_CEILING}" ]; then
+      echo "FAIL: ${name} allocates ${bytes} B/op, ceiling ${CHIPNEWREL16_BYTES_CEILING}" >&2
+      FAIL=1
+    fi
+    ;;
   BenchmarkSnapshotCodec/decode | BenchmarkSnapshotCodec/decode-*)
     if [ "${allocs}" -gt "${SNAPDECODE_ALLOC_CEILING}" ]; then
       echo "FAIL: ${name} allocates ${allocs} allocs/op, ceiling ${SNAPDECODE_ALLOC_CEILING}" >&2
@@ -86,6 +99,7 @@ echo "${out}" | grep -q '^BenchmarkAccessPath/' || { echo "FAIL: AccessPath did 
 echo "${out}" | grep -qE '^BenchmarkChipRun(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipRun did not run" >&2; FAIL=1; }
 echo "${out}" | grep -qE '^BenchmarkChipNew(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipNew did not run" >&2; FAIL=1; }
 echo "${out}" | grep -qE '^BenchmarkChipNew16(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipNew16 did not run" >&2; FAIL=1; }
+echo "${out}" | grep -qE '^BenchmarkChipNewReleased16(-[0-9]+)?[[:space:]]' || { echo "FAIL: ChipNewReleased16 did not run" >&2; FAIL=1; }
 echo "${out}" | grep -qE '^BenchmarkSnapshotCodec/decode(-[0-9]+)?[[:space:]]' || { echo "FAIL: SnapshotCodec/decode did not run" >&2; FAIL=1; }
 
 [ "${FAIL}" -eq 0 ] || exit 1

@@ -66,6 +66,7 @@ const snapshotKind = "delta.simulator"
 // a workload was loaded from a custom Generator — restore needs named specs
 // to rebuild the generator tree.
 func (s *Simulator) Snapshot() (*Snapshot, error) {
+	s.live()
 	return s.snapshotInto(nil)
 }
 
@@ -106,6 +107,7 @@ func (s *Simulator) snapshotInto(dst *Snapshot) (*Snapshot, error) {
 // or the stop-point checkpoint of a canceled run), or nil if none was taken.
 // Safe to call from other goroutines.
 func (s *Simulator) LastSnapshot() *Snapshot {
+	s.live()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastEscaped = s.lastSnap != nil
@@ -142,7 +144,10 @@ func (s *Simulator) storeCheckpoint() {
 // Fingerprint returns a deterministic digest string of the full simulator
 // state (per-core results, per-bank reports, chip/NoC/memory counters) used
 // by the equivalence tests and the checkpoint smoke lane.
-func (s *Simulator) Fingerprint() string { return s.chip.Fingerprint() }
+func (s *Simulator) Fingerprint() string {
+	s.live()
+	return s.chip.Fingerprint()
+}
 
 // Restore rebuilds a simulator from a snapshot: the recorded configuration
 // and workload specs reconstruct the chip, then every cursor, counter, cache
