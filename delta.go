@@ -169,13 +169,12 @@ type Simulator struct {
 	appByCore map[int]snapshot.AppAssignment
 	hasCustom bool
 
-	// Auto-checkpoints (snapshot.go): lastSnap is the latest, lastEscaped
-	// records that LastSnapshot handed it out, and spare is an earlier,
-	// never-escaped checkpoint whose buffers the next capture reuses.
+	// Auto-checkpoints (snapshot.go): lastSnap is the latest, and
+	// lastEscaped records that LastSnapshot handed it out; until it has, the
+	// next capture rewrites lastSnap in place.
 	mu          sync.Mutex
 	lastSnap    *Snapshot
 	lastEscaped bool
-	spare       *Snapshot
 
 	closed atomic.Bool
 }

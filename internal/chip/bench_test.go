@@ -139,6 +139,24 @@ func BenchmarkChipNewReleased16(b *testing.B) {
 	}
 }
 
+// BenchmarkFastForward16 times FastForward alone on a fresh 16-core chip at
+// the default warmup, where every tile's prefill is capped by its private
+// plus LLC-share budget; building and releasing the chip are off the clock.
+// scripts/bench_regression.sh gates its B/op: one scratch per call, so a
+// hot-line list, dedupe set or placement array rebuilt per tile fails CI.
+func BenchmarkFastForward16(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := benchChip(NewSnuca(), "mixed")
+		b.StartTimer()
+		c.FastForward(400_000)
+		b.StopTimer()
+		c.Release()
+		b.StartTimer()
+	}
+}
+
 // BenchmarkChipRunWarm is the same run with the warmup simulated
 // instruction-by-instruction (the pre-fast-forward behaviour).
 func BenchmarkChipRunWarm(b *testing.B) {

@@ -1,6 +1,8 @@
 package chip
 
 import (
+	"slices"
+
 	"delta/internal/cache"
 	"delta/internal/trace"
 )
@@ -23,6 +25,12 @@ func (c *Chip) FastForward(warmup uint64) int {
 	if c.now != 0 {
 		panic("chip: FastForward on a chip that has already run")
 	}
+	var ff ffScratch
+	for _, t := range c.Tiles {
+		if t.gen != nil {
+			ff.active++
+		}
+	}
 	seeded := 0
 	for i, t := range c.Tiles {
 		if t.gen == nil || t.warmed || t.base == 0 {
@@ -36,8 +44,8 @@ func (c *Chip) FastForward(warmup uint64) int {
 		if nAcc <= 0 {
 			continue
 		}
-		c.seedMonitor(t, loc, nAcc)
-		c.prefill(i, t, loc, nAcc)
+		c.seedMonitor(t, loc, nAcc, &ff)
+		c.prefill(i, t, loc, nAcc, &ff)
 		t.warmed = true
 		t.startCycle = t.Core.Cycle()
 		t.startInstr = t.Core.Instructions()
@@ -48,19 +56,33 @@ func (c *Chip) FastForward(warmup uint64) int {
 	return seeded
 }
 
+// ffScratch is one FastForward call's working memory, shared by every tile
+// it seeds so the call allocates its buffers once rather than once per tile.
+type ffScratch struct {
+	active int // tiles with a workload
+	hits   []float64
+	hot    []uint64
+	lines  trace.HotScratch
+	places []placement
+}
+
+// placement is where prefill put a line in the LLC.
+type placement struct{ bank, setIdx int }
+
 // seedMonitor converts the generator's analytical stack-distance curve into
 // the UMON counters a simulated warmup would have left behind. The private L2
 // filters the LLC-bound stream: accesses whose raw distance fits inside the
 // L2 hit there and never reach the monitor, and survivors observe a stack
 // depth reduced by the L2-resident hot set — the standard exclusive-window
 // approximation d_llc ≈ d_raw − |L2|.
-func (c *Chip) seedMonitor(t *Tile, loc trace.Locality, nAcc float64) {
+func (c *Chip) seedMonitor(t *Tile, loc trace.Locality, nAcc float64, ff *ffScratch) {
 	l2Lines := float64(c.Cfg.L2Bytes / cache.LineBytes)
 	g := c.Cfg.UmonGranularity
 	buckets := (c.Cfg.UmonMaxWays + g - 1) / g
 	// One UMON way spans one line per LLC-bank set.
 	waySpan := float64(int(1) << c.llcSetBits)
-	hits := make([]float64, buckets)
+	hits := slices.Grow(ff.hits[:0], buckets)[:buckets]
+	ff.hits = hits
 	prev := loc.CumDistance(l2Lines)
 	observed := nAcc * (1 - prev)
 	sum := 0.0
@@ -83,21 +105,16 @@ func (c *Chip) seedMonitor(t *Tile, loc trace.Locality, nAcc float64) {
 // capped at the private capacity plus an even share of the LLC; competition
 // between tiles is resolved exactly as in simulation, by eviction (including
 // back-invalidation of earlier tiles' private copies).
-func (c *Chip) prefill(i int, t *Tile, loc trace.Locality, nAcc float64) {
+func (c *Chip) prefill(i int, t *Tile, loc trace.Locality, nAcc float64, ff *ffScratch) {
 	l1Cap := c.Cfg.L1Bytes / cache.LineBytes
 	l2Cap := c.Cfg.L2Bytes / cache.LineBytes
-	active := 0
-	for _, tt := range c.Tiles {
-		if tt.gen != nil {
-			active++
-		}
-	}
-	llcShare := c.Cfg.LLCBytes / cache.LineBytes * c.Cfg.Cores / active
+	llcShare := c.Cfg.LLCBytes / cache.LineBytes * c.Cfg.Cores / ff.active
 	budget := int(loc.DistinctIn(nAcc))
 	if lim := l2Cap + llcShare; budget > lim {
 		budget = lim
 	}
-	hot := loc.HotLines(budget)
+	hot := loc.AppendHotLines(ff.hot[:0], budget, &ff.lines)
+	ff.hot = hot
 	if len(hot) == 0 {
 		return
 	}
@@ -105,8 +122,8 @@ func (c *Chip) prefill(i int, t *Tile, loc trace.Locality, nAcc float64) {
 	// Pass 1: LLC, coldest first. Placement is recorded so the private fill
 	// below does not re-run routing (the page classifier's access counters
 	// must tick once per line, as they would during warmup).
-	type placement struct{ bank, setIdx int }
-	places := make([]placement, len(hot))
+	places := slices.Grow(ff.places[:0], len(hot))[:len(hot)]
+	ff.places = places
 	for k := len(hot) - 1; k >= 0; k-- {
 		line := t.base + hot[k]
 		bank, sharedLine := c.routeLine(i, line)

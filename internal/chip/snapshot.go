@@ -38,10 +38,31 @@ func (c *Chip) Snapshot() (*snapshot.Chip, error) {
 
 // SnapshotInto is Snapshot writing into s, reusing the bulk buffers (cache
 // arrays and UMON stacks) of the capture s already holds; the result equals
-// a fresh Snapshot's. On error s is left partially overwritten.
+// a fresh Snapshot's. It is failure-atomic: the fallible captures (policy
+// state and generator cursors) run before any field of s is written, so on
+// error s still holds exactly the capture it held before.
 func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
 	c.mustLive()
-	events := c.events.Pending()
+	pol := snapshot.Policy{Kind: c.policy.Name()}
+	if ps, ok := c.policy.(PolicySnapshotter); ok {
+		p, err := ps.SnapshotPolicy()
+		if err != nil {
+			return err
+		}
+		pol = *p
+	}
+	gens := make([]*snapshot.Gen, len(c.Tiles))
+	for i, t := range c.Tiles {
+		if t.gen == nil {
+			continue
+		}
+		g, err := trace.SnapshotGen(t.gen)
+		if err != nil {
+			return fmt.Errorf("chip: tile %d: %w", i, err)
+		}
+		gens[i] = g
+	}
+
 	tiles := s.Tiles
 	if tiles == nil || len(tiles) != len(c.Tiles) {
 		tiles = make([]snapshot.Tile, len(c.Tiles))
@@ -49,8 +70,8 @@ func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
 	*s = snapshot.Chip{
 		Now:    c.now,
 		Tiles:  tiles,
-		Events: events,
-		Policy: snapshot.Policy{Kind: c.policy.Name()},
+		Events: c.events.Pending(),
+		Policy: pol,
 		NoC:    c.Net.Snapshot(),
 		Mem:    c.Mem.Snapshot(),
 		Stats: snapshot.ChipStats{
@@ -60,13 +81,6 @@ func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
 			SharedInserts:  c.Stats.SharedInserts,
 			PageReclassify: c.Stats.PageReclassify,
 		},
-	}
-	if ps, ok := c.policy.(PolicySnapshotter); ok {
-		pol, err := ps.SnapshotPolicy()
-		if err != nil {
-			return err
-		}
-		s.Policy = *pol
 	}
 	for i, t := range c.Tiles {
 		prev := &tiles[i]
@@ -100,6 +114,7 @@ func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
 			SampLLCAcc:      t.sampLLCAcc,
 			SampBankAcc:     t.sampBankAcc,
 			SampBankHits:    t.sampBankHits,
+			Gen:             gens[i],
 		}
 		t.L1.SnapshotInto(&st.L1)
 		t.L2.SnapshotInto(&st.L2)
@@ -110,13 +125,6 @@ func (c *Chip) SnapshotInto(s *snapshot.Chip) error {
 		}
 		if t.throttlePct != 100 {
 			st.ThrottlePct = t.throttlePct
-		}
-		if t.gen != nil {
-			g, err := trace.SnapshotGen(t.gen)
-			if err != nil {
-				return fmt.Errorf("chip: tile %d: %w", i, err)
-			}
-			st.Gen = g
 		}
 		*prev = st
 	}

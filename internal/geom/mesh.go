@@ -5,10 +5,7 @@
 // expands first.
 package geom
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Mesh is a W×H grid of tiles. Tile IDs are row-major: tile (x, y) has ID
 // y*W + x. A 16-core chip is a 4×4 mesh, a 64-core chip is 8×8, matching the
@@ -43,22 +40,30 @@ func NewMesh(w, h int) *Mesh {
 			m.dist[a*n+b] = uint8(d)
 		}
 	}
+	// Order each tile's neighbours with a counting sort on distance: filling
+	// the distance buckets in ID order breaks ties by ID. All lists share one
+	// backing array, capped per tile so no caller's append can spill.
+	all := make([]int, n*(n-1))
+	start := make([]int, m.MaxDist()+2)
 	m.neighborsByDist = make([][]int, n)
 	for a := 0; a < n; a++ {
-		others := make([]int, 0, n-1)
-		for b := 0; b < n; b++ {
+		da := m.dist[a*n : a*n+n]
+		clear(start)
+		for b, d := range da {
 			if b != a {
-				others = append(others, b)
+				start[d+1]++
 			}
 		}
-		da := m.dist[a*n : a*n+n]
-		sort.Slice(others, func(i, j int) bool {
-			di, dj := da[others[i]], da[others[j]]
-			if di != dj {
-				return di < dj
+		for d := 1; d < len(start); d++ {
+			start[d] += start[d-1]
+		}
+		others := all[a*(n-1) : (a+1)*(n-1) : (a+1)*(n-1)]
+		for b, d := range da {
+			if b != a {
+				others[start[d]] = b
+				start[d]++
 			}
-			return others[i] < others[j]
-		})
+		}
 		m.neighborsByDist[a] = others
 	}
 	return m

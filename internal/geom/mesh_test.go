@@ -1,6 +1,8 @@
 package geom
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -132,4 +134,31 @@ func TestNewMeshPanicsOnBadDims(t *testing.T) {
 		}
 	}()
 	NewMesh(0, 4)
+}
+
+// TestNeighborsByDistanceMatchesSort: the bucket fill orders every tile's
+// neighbours exactly as a sort by (distance, ID) does, on every square mesh
+// up to 16×16 and on rectangular ones.
+func TestNeighborsByDistanceMatchesSort(t *testing.T) {
+	var dims [][2]int
+	for side := 1; side <= 16; side++ {
+		dims = append(dims, [2]int{side, side})
+	}
+	dims = append(dims, [2]int{1, 7}, [2]int{7, 1}, [2]int{2, 9}, [2]int{5, 3}, [2]int{8, 4}, [2]int{3, 16})
+	for _, wh := range dims {
+		m := NewMesh(wh[0], wh[1])
+		n := m.Tiles()
+		for a := 0; a < n; a++ {
+			want := make([]int, 0, n-1)
+			for b := 0; b < n; b++ {
+				if b != a {
+					want = append(want, b)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return m.Dist(a, want[i]) < m.Dist(a, want[j]) })
+			if got := m.NeighborsByDistance(a); !slices.Equal(got, want) {
+				t.Fatalf("%dx%d tile %d: neighbours %v, want %v", wh[0], wh[1], a, got, want)
+			}
+		}
+	}
 }

@@ -1,6 +1,9 @@
 package trace
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file gives generators an *analytical* self-description: closed-form
 // stack-distance and footprint models that the chip's fast-forward mode uses
@@ -23,10 +26,53 @@ type Locality interface {
 	// WindowFor inverts DistinctIn: the expected number of accesses needed to
 	// touch k distinct lines, +Inf when k exceeds the reachable footprint.
 	WindowFor(k float64) float64
-	// HotLines returns up to n distinct line addresses (generator address
-	// space), ordered most-likely-resident first.
-	HotLines(n int) []uint64
+	// AppendHotLines appends up to n distinct line addresses (generator
+	// address space), ordered most-likely-resident first, to dst and returns
+	// the extended slice. Composite models keep their working buffers in sc;
+	// with a warm scratch and a dst of sufficient capacity the call does not
+	// allocate.
+	AppendHotLines(dst []uint64, n int, sc *HotScratch) []uint64
 }
+
+// HotScratch is the reusable working memory of AppendHotLines: for each
+// mixture nesting level, the components' hot-line buffers and merge cursors
+// and a dedupe set. The zero value is ready to use; buffers grow to the
+// largest call seen and are cleared, not freed, between calls. A scratch
+// serves one call at a time.
+type HotScratch struct {
+	levels []*hotLevel
+	depth  int
+}
+
+// hotLevel is one mixture nesting level's share of a HotScratch.
+type hotLevel struct {
+	cur  []hotCursor
+	seen map[uint64]struct{}
+}
+
+// hotCursor walks one mixture component's hot list during the merge.
+type hotCursor struct {
+	lines []uint64
+	k     int
+	loc   Locality
+	w     float64
+	score float64 // staleness of lines[k]; valid while k < len(lines)
+}
+
+// enter claims the next nesting level with comps cursors and an empty
+// dedupe set; leave releases it.
+func (sc *HotScratch) enter(comps int) *hotLevel {
+	if sc.depth == len(sc.levels) {
+		sc.levels = append(sc.levels, &hotLevel{seen: make(map[uint64]struct{})})
+	}
+	lv := sc.levels[sc.depth]
+	sc.depth++
+	lv.cur = slices.Grow(lv.cur[:0], comps)[:comps]
+	clear(lv.seen)
+	return lv
+}
+
+func (sc *HotScratch) leave() { sc.depth-- }
 
 // LocalityOf resolves the analytical model of g, unwrapping pacing shapers
 // and phase schedules and validating mixtures recursively. ok is false when
@@ -106,16 +152,16 @@ func (g *RegionGen) WindowFor(k float64) float64 {
 	return -s * math.Log(1-k/s)
 }
 
-// HotLines: every line is equally hot; enumerate deterministically.
-func (g *RegionGen) HotLines(n int) []uint64 {
+// AppendHotLines: every line is equally hot; enumerate deterministically.
+func (g *RegionGen) AppendHotLines(dst []uint64, n int, _ *HotScratch) []uint64 {
 	if uint64(n) > g.Size {
 		n = int(g.Size)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = g.Base + uint64(i)
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, g.Base+uint64(i))
 	}
-	return out
+	return dst
 }
 
 // --- StreamGen: sequential walk of period Size -----------------------------
@@ -144,17 +190,17 @@ func (g *StreamGen) WindowFor(k float64) float64 {
 	return k
 }
 
-// HotLines: most recently passed positions, walking backwards from the
-// cursor (modulo the period).
-func (g *StreamGen) HotLines(n int) []uint64 {
+// AppendHotLines: most recently passed positions, walking backwards from
+// the cursor (modulo the period).
+func (g *StreamGen) AppendHotLines(dst []uint64, n int, _ *HotScratch) []uint64 {
 	if uint64(n) > g.Size {
 		n = int(g.Size)
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = g.Base + (g.pos+g.Size-1-uint64(i))%g.Size
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, g.Base+(g.pos+g.Size-1-uint64(i))%g.Size)
 	}
-	return out
+	return dst
 }
 
 // --- IdleGen: a single spun-on line ----------------------------------------
@@ -178,12 +224,12 @@ func (IdleGen) WindowFor(k float64) float64 {
 	return k
 }
 
-// HotLines is the single spun-on line.
-func (IdleGen) HotLines(n int) []uint64 {
+// AppendHotLines appends the single spun-on line.
+func (IdleGen) AppendHotLines(dst []uint64, n int, _ *HotScratch) []uint64 {
 	if n < 1 {
-		return nil
+		return dst
 	}
-	return []uint64{0}
+	return append(dst, 0)
 }
 
 // --- StackDistGen: the distribution is the model ---------------------------
@@ -227,20 +273,21 @@ func (g *StackDistGen) WindowFor(k float64) float64 {
 	return warm + (k-warm)/r
 }
 
-// HotLines walks live slots newest-first; before the generator has run it has
-// no footprint and returns nothing.
-func (g *StackDistGen) HotLines(n int) []uint64 {
+// AppendHotLines walks live slots newest-first; before the generator has run
+// it has no footprint and appends nothing.
+func (g *StackDistGen) AppendHotLines(dst []uint64, n int, _ *HotScratch) []uint64 {
 	if n > g.depth {
 		n = g.depth
 	}
-	out := make([]uint64, 0, n)
-	for slot := g.now - 1; slot >= 0 && len(out) < n; slot-- {
+	dst = slices.Grow(dst, n)
+	end := len(dst) + n
+	for slot := g.now - 1; slot >= 0 && len(dst) < end; slot-- {
 		line := g.slotLine[slot]
 		if s, ok := g.lineSlot[line]; ok && s == slot {
-			out = append(out, g.Base+line)
+			dst = append(dst, g.Base+line)
 		}
 	}
-	return out
+	return dst
 }
 
 // --- MixtureGen: closed-form interleaving composition ----------------------
@@ -342,32 +389,27 @@ func (g *MixtureGen) CumDistance(d float64) float64 {
 	return total
 }
 
-// HotLines merges component hot lists by expected residency: component i's
-// k-th hottest line was last touched about WindowFor(k+1)/weight interleaved
-// accesses ago, so the merge picks the globally smallest staleness next.
-func (g *MixtureGen) HotLines(n int) []uint64 {
-	type cursor struct {
-		lines []uint64
-		k     int
-		loc   Locality
-		w     float64
+// AppendHotLines merges component hot lists by expected residency:
+// component i's k-th hottest line was last touched about WindowFor(k+1)/weight
+// interleaved accesses ago, so the merge picks the globally smallest
+// staleness next. A cursor's staleness depends only on its position, so it is
+// recomputed only when that cursor advances.
+func (g *MixtureGen) AppendHotLines(dst []uint64, n int, sc *HotScratch) []uint64 {
+	lv := sc.enter(len(g.comps))
+	defer sc.leave()
+	cur := lv.cur
+	for i := range cur {
+		c := &cur[i]
+		c.loc, c.w, c.k = g.locality(i), g.weight(i), 0
+		c.lines = c.loc.AppendHotLines(c.lines[:0], n, sc)
+		c.rescore()
 	}
-	cur := make([]cursor, len(g.comps))
-	for i := range g.comps {
-		loc := g.locality(i)
-		cur[i] = cursor{lines: loc.HotLines(n), loc: loc, w: g.weight(i)}
-	}
-	seen := make(map[uint64]bool, n)
-	out := make([]uint64, 0, n)
-	for len(out) < n {
+	for added := 0; added < n; {
 		best, bestScore := -1, math.Inf(1)
 		for i := range cur {
 			c := &cur[i]
-			if c.k >= len(c.lines) {
-				continue
-			}
-			if score := c.loc.WindowFor(float64(c.k+1)) / c.w; score < bestScore {
-				best, bestScore = i, score
+			if c.k < len(c.lines) && c.score < bestScore {
+				best, bestScore = i, c.score
 			}
 		}
 		if best < 0 {
@@ -383,12 +425,22 @@ func (g *MixtureGen) HotLines(n int) []uint64 {
 				break
 			}
 		}
-		line := cur[best].lines[cur[best].k]
-		cur[best].k++
-		if !seen[line] {
-			seen[line] = true
-			out = append(out, line)
+		c := &cur[best]
+		line := c.lines[c.k]
+		c.k++
+		c.rescore()
+		if _, dup := lv.seen[line]; !dup {
+			lv.seen[line] = struct{}{}
+			dst = append(dst, line)
+			added++
 		}
 	}
-	return out
+	return dst
+}
+
+// rescore caches the staleness of the cursor's current line.
+func (c *hotCursor) rescore() {
+	if c.k < len(c.lines) {
+		c.score = c.loc.WindowFor(float64(c.k+1)) / c.w
+	}
 }

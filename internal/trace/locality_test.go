@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -23,9 +24,9 @@ func TestRegionLocality(t *testing.T) {
 	if !math.IsInf(g.WindowFor(1000), 1) {
 		t.Fatal("WindowFor at footprint must be +Inf")
 	}
-	hot := g.HotLines(5)
+	hot := g.AppendHotLines(nil, 5, new(HotScratch))
 	if len(hot) != 5 || hot[0] != 100 {
-		t.Fatalf("HotLines = %v", hot)
+		t.Fatalf("AppendHotLines = %v", hot)
 	}
 }
 
@@ -41,9 +42,9 @@ func TestStreamLocality(t *testing.T) {
 	g.Next()
 	g.Next()
 	g.Next()
-	hot := g.HotLines(3)
+	hot := g.AppendHotLines(nil, 3, new(HotScratch))
 	if hot[0] != 2 || hot[1] != 1 || hot[2] != 0 {
-		t.Fatalf("HotLines after 3 accesses = %v", hot)
+		t.Fatalf("AppendHotLines after 3 accesses = %v", hot)
 	}
 }
 
@@ -55,13 +56,13 @@ func TestStackDistLocality(t *testing.T) {
 	if got := g.CumDistance(100); math.Abs(got-0.8) > 1e-12 {
 		t.Fatalf("CumDistance beyond table = %v, want 0.8", got)
 	}
-	if got := g.HotLines(4); len(got) != 0 {
+	if got := g.AppendHotLines(nil, 4, new(HotScratch)); len(got) != 0 {
 		t.Fatalf("cold generator reported hot lines %v", got)
 	}
 	for i := 0; i < 50; i++ {
 		g.Next()
 	}
-	hot := g.HotLines(4)
+	hot := g.AppendHotLines(nil, 4, new(HotScratch))
 	if len(hot) == 0 {
 		t.Fatal("warm generator reported no hot lines")
 	}
@@ -161,7 +162,7 @@ func TestMixtureHotLines(t *testing.T) {
 		Component{Gen: NewRegionGen(0, 16, 1), Weight: 0.9},
 		Component{Gen: NewRegionGen(1000, 10000, 2), Weight: 0.1},
 	)
-	hot := g.HotLines(32)
+	hot := g.AppendHotLines(nil, 32, new(HotScratch))
 	if len(hot) != 32 {
 		t.Fatalf("got %d hot lines", len(hot))
 	}
@@ -174,5 +175,173 @@ func TestMixtureHotLines(t *testing.T) {
 	}
 	if small < 12 {
 		t.Fatalf("hot prefix has only %d/16 lines from the hot region: %v", small, hot[:16])
+	}
+}
+
+// refHotLines is the allocate-per-call hot-line enumeration AppendHotLines
+// replaced, kept as the oracle for its exact output.
+func refHotLines(loc Locality, n int) []uint64 {
+	switch g := loc.(type) {
+	case *RegionGen:
+		if uint64(n) > g.Size {
+			n = int(g.Size)
+		}
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = g.Base + uint64(i)
+		}
+		return out
+	case *StreamGen:
+		if uint64(n) > g.Size {
+			n = int(g.Size)
+		}
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = g.Base + (g.pos+g.Size-1-uint64(i))%g.Size
+		}
+		return out
+	case IdleGen:
+		if n < 1 {
+			return nil
+		}
+		return []uint64{0}
+	case *StackDistGen:
+		if n > g.depth {
+			n = g.depth
+		}
+		out := make([]uint64, 0, n)
+		for slot := g.now - 1; slot >= 0 && len(out) < n; slot-- {
+			line := g.slotLine[slot]
+			if s, ok := g.lineSlot[line]; ok && s == slot {
+				out = append(out, g.Base+line)
+			}
+		}
+		return out
+	case *MixtureGen:
+		type cursor struct {
+			lines []uint64
+			k     int
+			loc   Locality
+			w     float64
+		}
+		cur := make([]cursor, len(g.comps))
+		for i := range g.comps {
+			l := g.locality(i)
+			cur[i] = cursor{lines: refHotLines(l, n), loc: l, w: g.weight(i)}
+		}
+		seen := make(map[uint64]bool, n)
+		out := make([]uint64, 0, n)
+		for len(out) < n {
+			best, bestScore := -1, math.Inf(1)
+			for i := range cur {
+				c := &cur[i]
+				if c.k >= len(c.lines) {
+					continue
+				}
+				if score := c.loc.WindowFor(float64(c.k+1)) / c.w; score < bestScore {
+					best, bestScore = i, score
+				}
+			}
+			if best < 0 {
+				for i := range cur {
+					if cur[i].k < len(cur[i].lines) {
+						best = i
+						break
+					}
+				}
+				if best < 0 {
+					break
+				}
+			}
+			line := cur[best].lines[cur[best].k]
+			cur[best].k++
+			if !seen[line] {
+				seen[line] = true
+				out = append(out, line)
+			}
+		}
+		return out
+	}
+	panic("refHotLines: unknown model")
+}
+
+// hotLineModels covers every model AppendHotLines implements: the primitive
+// generators (a stack-distance one after it has run), flat mixtures,
+// mixtures reached through shapers and phase schedules, a mixture nested in
+// a mixture, and overlapping components whose lines the merge must dedupe.
+func hotLineModels() map[string]Locality {
+	warm := func(g Generator, n int) Generator {
+		for i := 0; i < n; i++ {
+			g.Next()
+		}
+		return g
+	}
+	stackDist := func(base uint64) *StackDistGen {
+		return warm(NewStackDistGen(base, []float64{0.3, 0.2, 0.1, 0.05, 0.05}, 5), 4000).(*StackDistGen)
+	}
+	flat := NewMixtureGen(7,
+		Component{Gen: NewRegionGen(0, 300, 1), Weight: 0.5},
+		Component{Gen: warm(NewStreamGen(1<<30, 700), 950), Weight: 0.2},
+		Component{Gen: stackDist(2 << 30), Weight: 0.3})
+	inner := NewMixtureGen(8,
+		Component{Gen: NewShaper(NewRegionGen(0, 200, 2), ShaperConfig{MemFraction: 0.3, Seed: 1}), Weight: 0.6},
+		Component{Gen: stackDist(1 << 30), Weight: 0.4})
+	nested := NewMixtureGen(9,
+		Component{Gen: inner, Weight: 0.5},
+		Component{Gen: NewPhasedGen(Phase{Gen: NewStreamGen(2<<30, 500), Accesses: 10}), Weight: 0.3},
+		Component{Gen: NewMixtureGen(10,
+			Component{Gen: NewRegionGen(3<<30, 64, 3), Weight: 1},
+			Component{Gen: IdleGen{}, Weight: 1}), Weight: 0.2})
+	overlap := NewMixtureGen(11,
+		Component{Gen: NewRegionGen(0, 100, 1), Weight: 0.7},
+		Component{Gen: warm(NewStreamGen(50, 100), 30), Weight: 0.3})
+	return map[string]Locality{
+		"region":    NewRegionGen(100, 1000, 1),
+		"stream":    warm(NewStreamGen(0, 500), 777).(*StreamGen),
+		"idle":      IdleGen{},
+		"stackdist": stackDist(0),
+		"flat":      flat,
+		"nested":    nested,
+		"overlap":   overlap,
+	}
+}
+
+// TestAppendHotLinesMatchesReference: AppendHotLines returns exactly the
+// lines of the allocate-per-call enumeration, in the same order, whether the
+// scratch is fresh or warm from larger calls on other models, and it
+// appends after whatever dst already holds.
+func TestAppendHotLinesMatchesReference(t *testing.T) {
+	models := hotLineModels()
+	var shared HotScratch
+	for _, name := range []string{"nested", "flat", "region", "stream", "idle", "stackdist", "overlap"} {
+		loc := models[name]
+		for _, n := range []int{0, 1, 7, 64, 333, 1200, 5000} {
+			want := refHotLines(loc, n)
+			if got := loc.AppendHotLines(nil, n, new(HotScratch)); !slices.Equal(got, want) {
+				t.Fatalf("%s n=%d fresh scratch: got %d lines, want %d (or order differs)", name, n, len(got), len(want))
+			}
+			prefix := []uint64{42, 43}
+			got := loc.AppendHotLines(prefix, n, &shared)
+			if !slices.Equal(got[:2], []uint64{42, 43}) || !slices.Equal(got[2:], want) {
+				t.Fatalf("%s n=%d warm scratch: got %d lines, want %d (or order differs)", name, n, len(got)-2, len(want))
+			}
+			if shared.depth != 0 {
+				t.Fatalf("%s: scratch left at nesting depth %d", name, shared.depth)
+			}
+		}
+	}
+}
+
+// TestAppendHotLinesAllocFree: with a warm scratch and a dst of sufficient
+// capacity, a call allocates nothing.
+func TestAppendHotLinesAllocFree(t *testing.T) {
+	for name, loc := range hotLineModels() {
+		var sc HotScratch
+		dst := loc.AppendHotLines(nil, 2000, &sc)
+		if allocs := testing.AllocsPerRun(10, func() {
+			dst = loc.AppendHotLines(dst[:0], 2000, &sc)
+		}); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per warm call, want 0", name, allocs)
+		}
 	}
 }

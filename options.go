@@ -106,6 +106,10 @@ func WithCheck(on bool) Option {
 
 // WithSnapshotEvery auto-checkpoints every n quantum boundaries during
 // Run/RunCtx; the latest checkpoint is available through LastSnapshot.
+// The simulator holds one checkpoint buffer and rewrites it in place, so
+// steady-state checkpointing allocates almost nothing; a checkpoint that
+// LastSnapshot returned is never rewritten (the next capture takes a fresh
+// buffer), and a capture that fails keeps the previous checkpoint intact.
 func WithSnapshotEvery(n int) Option {
 	return func(c *Config) { c.SnapshotEvery = n }
 }

@@ -70,8 +70,9 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 	return s.snapshotInto(nil)
 }
 
-// snapshotInto captures into dst's buffers (a fresh snapshot when dst is
-// nil) and returns it. dst must not be visible to any other goroutine.
+// snapshotInto captures in place into dst (a fresh snapshot when dst is
+// nil) and returns it. dst must not be visible to any other goroutine. On
+// error dst is unchanged.
 func (s *Simulator) snapshotInto(dst *Snapshot) (*Snapshot, error) {
 	if s.hasCustom {
 		return nil, fmt.Errorf("delta: custom Generator workloads: %w", ErrNotSnapshotable)
@@ -83,11 +84,10 @@ func (s *Simulator) snapshotInto(dst *Snapshot) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	chipSnap := &snapshot.Chip{}
-	if dst != nil {
-		chipSnap = dst.env.Chip
+	if dst == nil {
+		dst = &Snapshot{env: &snapshot.Envelope{Chip: &snapshot.Chip{}}}
 	}
-	if err := s.chip.SnapshotInto(chipSnap); err != nil {
+	if err := s.chip.SnapshotInto(dst.env.Chip); err != nil {
 		return nil, err
 	}
 	w := &snapshot.Workloads{Mix: s.mixName}
@@ -95,12 +95,13 @@ func (s *Simulator) snapshotInto(dst *Snapshot) (*Snapshot, error) {
 		w.Apps = append(w.Apps, a)
 	}
 	sort.Slice(w.Apps, func(i, j int) bool { return w.Apps[i].Core < w.Apps[j].Core })
-	return &Snapshot{env: &snapshot.Envelope{
+	*dst.env = snapshot.Envelope{
 		Kind:      snapshotKind,
 		Config:    cfgJSON,
 		Workloads: w,
-		Chip:      chipSnap,
-	}}, nil
+		Chip:      dst.env.Chip,
+	}
+	return dst, nil
 }
 
 // LastSnapshot returns the most recent auto-checkpoint (SnapshotEvery > 0,
@@ -114,31 +115,27 @@ func (s *Simulator) LastSnapshot() *Snapshot {
 	return s.lastSnap
 }
 
-// storeCheckpoint captures the current state into lastSnap; failures
-// (e.g. custom generators) leave the previous checkpoint in place.
+// storeCheckpoint captures the current state into lastSnap; a failed
+// capture (e.g. custom generators) leaves the previous checkpoint in place.
 //
-// The capture reuses the buffers of the checkpoint before the one it
-// replaces (the spare), so steady-state checkpointing allocates almost
-// nothing. A checkpoint that LastSnapshot handed out has escaped and is
-// never reused: the replaced checkpoint only becomes the spare if nobody
-// saw it, and the swap happens under mu, so no caller can observe a buffer
-// being rewritten.
+// The capture holds mu and, unless LastSnapshot has handed lastSnap out,
+// rewrites lastSnap's buffers in place, so steady-state checkpointing keeps
+// one buffer and allocates almost nothing. A checkpoint that escaped is never
+// written again: the capture goes into a fresh snapshot, which becomes the
+// new, unescaped lastSnap. Because the capture and the escape both happen
+// under mu, no caller can observe a buffer being rewritten; a concurrent
+// LastSnapshot waits for at most one capture. chip.SnapshotInto is
+// failure-atomic, so a failed in-place capture leaves lastSnap as it was.
 func (s *Simulator) storeCheckpoint() {
 	s.mu.Lock()
-	spare := s.spare
-	s.spare = nil
-	s.mu.Unlock()
-	snap, err := s.snapshotInto(spare)
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
-		s.spare = spare
-		return
+	var dst *Snapshot
+	if !s.lastEscaped {
+		dst = s.lastSnap
 	}
-	if s.lastSnap != nil && !s.lastEscaped {
-		s.spare = s.lastSnap
+	if snap, err := s.snapshotInto(dst); err == nil {
+		s.lastSnap, s.lastEscaped = snap, false
 	}
-	s.lastSnap, s.lastEscaped = snap, false
 }
 
 // Fingerprint returns a deterministic digest string of the full simulator

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"delta/internal/chip"
 	"delta/internal/experiments"
 	"delta/internal/snapshot"
 )
@@ -151,9 +153,10 @@ func TestSnapshotCodecDifferential(t *testing.T) {
 	})
 }
 
-// TestCheckpointReuseMatchesFresh: auto-checkpoints captured into a reused
-// spare encode exactly like fresh snapshots of the same boundary, and the
-// spare really is reused once the checkpoint it replaced never escaped.
+// TestCheckpointReuseMatchesFresh: auto-checkpoints captured in place
+// encode exactly like fresh snapshots of the same boundary; every capture
+// reuses one buffer until LastSnapshot hands it out, and a checkpoint that
+// escaped is never written again.
 func TestCheckpointReuseMatchesFresh(t *testing.T) {
 	sim, err := New(WithCores(16), WithPolicy(PolicyDelta), WithWarmup(1000), WithBudget(16000),
 		WithSeed(7), WithScenario(experiments.ChurnScenario()))
@@ -161,10 +164,21 @@ func TestCheckpointReuseMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.LoadMix("w2")
-	// Twelve boundaries span the storm's start and the first departure.
+	encode := func(sn *Snapshot) []byte {
+		data, err := sn.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// Twelve boundaries span the storm's start and the first departure; the
+	// checkpoint escapes at the sixth.
+	const escapeAt, last = 6, 12
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var chips []*snapshot.Chip
+	var escaped *Snapshot
+	var escapedData []byte
 	sim.chip.SetCheckpoint(1, func(uint64) {
 		sim.storeCheckpoint()
 		fresh, err := sim.Snapshot()
@@ -174,33 +188,103 @@ func TestCheckpointReuseMatchesFresh(t *testing.T) {
 		sim.mu.Lock()
 		reused := sim.lastSnap
 		sim.mu.Unlock()
-		a, errA := reused.Encode()
-		b, errB := fresh.Encode()
-		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+		if !bytes.Equal(encode(reused), encode(fresh)) {
 			t.Fatalf("boundary %d: reused checkpoint differs from a fresh snapshot", len(chips)+1)
 		}
-		if chips = append(chips, reused.env.Chip); len(chips) == 12 {
+		if escaped != nil && !bytes.Equal(encode(escaped), escapedData) {
+			t.Fatalf("boundary %d: an escaped checkpoint was rewritten", len(chips)+1)
+		}
+		chips = append(chips, reused.env.Chip)
+		switch len(chips) {
+		case escapeAt:
+			escaped = sim.LastSnapshot()
+			escapedData = encode(escaped)
+		case last:
 			cancel()
 		}
 	})
 	if _, err := sim.RunCtx(ctx); err == nil {
-		t.Fatal("run finished before the twelfth boundary")
+		t.Fatal("run finished before the last boundary")
 	}
-	// Captures alternate between two buffers once the spare exists.
-	if chips[2] != chips[0] || chips[3] != chips[1] || chips[0] == chips[1] {
-		t.Fatal("auto-checkpoints do not reuse the spare's buffers")
-	}
-	// An escaped checkpoint is never recaptured into.
-	escaped := sim.LastSnapshot()
-	sim.storeCheckpoint()
-	sim.storeCheckpoint()
-	sim.storeCheckpoint()
-	sim.mu.Lock()
-	defer sim.mu.Unlock()
-	for _, sn := range []*Snapshot{sim.lastSnap, sim.spare} {
-		if sn != nil && sn.env.Chip == escaped.env.Chip {
-			t.Fatal("an escaped checkpoint's buffers were reused")
+	// One buffer up to the escape, then one fresh buffer from there on.
+	for k, c := range chips {
+		want := chips[0]
+		if k >= escapeAt {
+			want = chips[escapeAt]
 		}
+		if c != want {
+			t.Fatalf("boundary %d: capture did not reuse the checkpoint buffer", k+1)
+		}
+	}
+	if chips[escapeAt] == escaped.env.Chip {
+		t.Fatal("the capture after the escape reused the escaped checkpoint's buffer")
+	}
+}
+
+// flakySnapshotPolicy is S-NUCA with a constant snapshot payload whose
+// capture fails on call number failOn.
+type flakySnapshotPolicy struct {
+	*chip.Snuca
+	calls, failOn int
+}
+
+func (p *flakySnapshotPolicy) SnapshotPolicy() (*snapshot.Policy, error) {
+	if p.calls++; p.calls == p.failOn {
+		return nil, errors.New("flaky policy: capture failed")
+	}
+	return &snapshot.Policy{Kind: p.Name(), Key: "flaky", State: json.RawMessage(`{}`)}, nil
+}
+
+func (p *flakySnapshotPolicy) RestorePolicy(*snapshot.Policy) error { return nil }
+
+// TestCheckpointFailedCaptureKeepsPrevious: an auto-checkpoint whose policy
+// capture fails leaves the previous checkpoint in place and intact. The
+// capture of boundary 1 succeeds (call 1), a fresh Snapshot of the same
+// boundary is the reference (call 2), and boundary 2's in-place capture
+// fails (call 3); LastSnapshot must still encode exactly like the reference.
+// The policy is swapped into the simulator's chip rather than registered,
+// which would add it to Policies() for every other test.
+func TestCheckpointFailedCaptureKeepsPrevious(t *testing.T) {
+	sim := newTestSim(t, PolicySnuca)
+	cfg := sim.chip.Cfg
+	sim.chip.Release()
+	sim.chip = chip.New(cfg, &flakySnapshotPolicy{Snuca: chip.NewSnuca(), failOn: 3})
+	sim.LoadMix("w1")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var want []byte
+	boundary := 0
+	sim.chip.SetCheckpoint(1, func(uint64) {
+		boundary++
+		sim.storeCheckpoint()
+		if boundary == 1 {
+			fresh, err := sim.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err = fresh.Encode(); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		cancel()
+	})
+	if _, err := sim.RunCtx(ctx); err == nil {
+		t.Fatal("run finished before the second boundary")
+	}
+	if boundary != 2 {
+		t.Fatalf("stopped after %d boundaries, want 2", boundary)
+	}
+	last := sim.LastSnapshot()
+	if last == nil {
+		t.Fatal("no checkpoint survived the failed capture")
+	}
+	got, err := last.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("a failed capture changed the previous checkpoint")
 	}
 }
 
@@ -328,9 +412,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 // BenchmarkSnapshotCodec times the checkpoint path of the churn16-ckpt
 // benchmark workload on a 16-core churn checkpoint: steady-state
-// auto-checkpoint capture (reusing the spare's buffers), encode, decode and
-// restore. scripts/bench_regression.sh gates decode's allocs/op, which
-// would jump if the canonical parser silently fell back to encoding/json.
+// auto-checkpoint capture (in place into one buffer), encode, decode and
+// restore. scripts/bench_regression.sh gates capture's B/op, which would
+// jump to a whole checkpoint if captures needed a second buffer, and
+// decode's allocs/op, which would jump if the canonical parser silently fell
+// back to encoding/json.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	sim := churnSim(b, PolicyKind("lfoc"))
 	if _, err := sim.RunCtx(context.Background()); err != nil {
@@ -342,11 +428,16 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("capture", func(b *testing.B) {
+		// Each iteration escapes the checkpoint, as a LastSnapshot caller
+		// does, and lets the capture after it take a fresh buffer off the
+		// clock. The timed capture is the steady state that follows: it
+		// must rewrite that buffer in place.
 		b.ReportAllocs()
-		sim.storeCheckpoint() // the escaped checkpoint is replaced, not reused
-		sim.storeCheckpoint() // from here on a spare exists
-		b.ResetTimer()
 		for range b.N {
+			b.StopTimer()
+			sim.LastSnapshot()
+			sim.storeCheckpoint()
+			b.StartTimer()
 			sim.storeCheckpoint()
 		}
 	})
