@@ -10,7 +10,8 @@
 // API (JSON unless noted):
 //
 //	POST   /v1/simulations        submit one job (routed, deduplicated)
-//	GET    /v1/simulations/{id}   job status and result
+//	GET    /v1/simulations/{id}   job status and result; ?wait=10s long-polls
+//	                              until the job settles
 //	POST   /v1/batch              submit N jobs, stream N NDJSON results in
 //	                              completion order
 //	GET    /v1/fleet              worker states and job placement
@@ -50,7 +51,7 @@ func main() {
 	replicas := flag.Int("replicas", 64, "virtual nodes per worker on the consistent-hash ring")
 	healthEvery := flag.Duration("health-every", 2*time.Second, "worker health-probe interval")
 	failAfter := flag.Int("health-fail-after", 3, "consecutive probe failures before a worker is marked down and its jobs rebalance")
-	pollEvery := flag.Duration("poll-every", 50*time.Millisecond, "per-job status poll interval")
+	pollEvery := flag.Duration("poll-every", 50*time.Millisecond, "minimum interval between two status requests for one job; each request long-polls the worker for up to -health-every")
 	suspendTimeout := flag.Duration("suspend-timeout", 30*time.Second, "max wait for a draining worker to checkpoint a job before restarting it fresh")
 	maxBatch := flag.Int("max-batch", 1024, "max jobs per POST /v1/batch")
 	showVersion := flag.Bool("version", false, "print the build version and exit")

@@ -8,7 +8,8 @@
 //
 //	POST /v1/simulations              submit {policy, cores, mix|apps, ...}
 //	POST /v1/simulations/{id}:suspend checkpoint a job for later resumption
-//	GET  /v1/simulations/{id}         job status and result
+//	GET  /v1/simulations/{id}         job status and result; ?wait=10s
+//	                                  long-polls until the job settles
 //	GET  /v1/simulations/{id}/events  JSONL progress stream
 //	GET  /v1/simulations/{id}/telemetry  NDJSON range query over the columnar
 //	                                  time series (from/to/res/tags); needs

@@ -34,8 +34,8 @@ const goldenFastForwardQuanta = 3
 // stackDistMixGen is tile i's generator in the custom fast-forward mix:
 // region, stream and stack-distance components in flat and nested mixtures,
 // a bare stack-distance generator and an idle tile. Stack-distance
-// generators are run first so their hot-line lists are not empty; only four
-// tiles carry one, as each holds a 16 MB LRU-slot table.
+// generators are run first so their hot-line lists are not empty; four
+// tiles carry one.
 func stackDistMixGen(i int) trace.Generator {
 	const gap = 1 << 30
 	seed := uint64(1000 + i)

@@ -54,7 +54,11 @@ type Config struct {
 	// FailAfter is how many consecutive probe failures mark a worker down
 	// and trigger rebalancing; <= 0 uses 3.
 	FailAfter int
-	// PollEvery is the per-job status poll interval; <= 0 uses 50ms.
+	// PollEvery is the minimum interval between two status requests for one
+	// job; <= 0 uses 50ms. Each request is a long-poll that the worker holds
+	// until the job settles or HealthEvery passes, so PollEvery only sets
+	// the rate for a worker that answers at once (one that ignores ?wait=,
+	// or a job that stays suspended while it is handed off).
 	PollEvery time.Duration
 	// SuspendTimeout bounds how long a graceful removal waits for a job to
 	// reach "suspended" before falling back to a from-scratch resubmission;
@@ -87,6 +91,9 @@ type fleetJob struct {
 	doc     api.Job
 	settled bool
 	done    chan struct{}
+	// stopWait cancels the watcher's status long-poll in flight, if any:
+	// a new owner or a settlement makes its answer moot.
+	stopWait context.CancelFunc
 }
 
 func (f *fleetJob) snapshot() api.Job {
@@ -101,9 +108,29 @@ func (f *fleetJob) currentOwner() string {
 	return f.owner
 }
 
+// setOwner moves the job and cancels the watcher's long-poll on the old
+// owner, so the watcher follows the job at once.
 func (f *fleetJob) setOwner(url string) {
 	f.mu.Lock()
 	f.owner = url
+	if f.stopWait != nil {
+		f.stopWait()
+	}
+	f.mu.Unlock()
+}
+
+// beginWait registers the cancel of a status long-poll about to be sent and
+// returns the owner to send it to; endWait unregisters it.
+func (f *fleetJob) beginWait(cancel context.CancelFunc) string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.stopWait = cancel
+	return f.owner
+}
+
+func (f *fleetJob) endWait() {
+	f.mu.Lock()
+	f.stopWait = nil
 	f.mu.Unlock()
 }
 
@@ -122,6 +149,9 @@ func (f *fleetJob) settle(doc api.Job) {
 		f.settled = true
 		f.doc = doc
 		close(f.done)
+		if f.stopWait != nil {
+			f.stopWait()
+		}
 	}
 	f.mu.Unlock()
 }
@@ -154,9 +184,9 @@ type Coordinator struct {
 	wg      sync.WaitGroup
 
 	// transport carries every request to every worker. One job watcher per
-	// tracked job polls its worker concurrently, so each worker may hold
-	// up to MaxBatch idle connections; the default transport keeps two,
-	// and almost every poll would dial a fresh connection.
+	// tracked job long-polls its worker concurrently, so each worker may
+	// hold up to MaxBatch idle connections; the default transport keeps
+	// two, and almost every request would dial a fresh connection.
 	transport *http.Transport
 
 	mu       sync.Mutex
@@ -386,37 +416,34 @@ func (c *Coordinator) routeJob(ctx context.Context, req api.SubmitRequest) (api.
 	return sub, fj, nil
 }
 
-// watch polls a job's current owner until the job settles. Ownership may
-// change under it (rebalancing); every tick re-reads the owner. A suspension
-// observed on a live worker (that worker drained) resumes in place — once
-// per observed suspension, mirroring the client's Wait semantics.
+// watch follows a job on its current owner until the job settles. Each
+// status request is a long-poll bounded by HealthEvery, so a job costs about
+// one request per HealthEvery of its life instead of one per PollEvery;
+// PollEvery stays the floor between two requests. Ownership may change under
+// it (rebalancing): setOwner cancels the request in flight and every request
+// goes to the owner of the moment. A suspension observed on a worker that
+// still owns the job and is still up (a client suspended it there) resumes
+// in place — once per observed suspension, mirroring the client's Wait
+// semantics. A suspension on a draining worker is reassign's checkpoint
+// handoff, which resuming on the donor would defeat.
 func (c *Coordinator) watch(fj *fleetJob) {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.PollEvery)
-	defer t.Stop()
+	var last time.Time
 	resubmitted := false
-	for {
-		select {
-		case <-c.baseCtx.Done():
-			return
-		case <-t.C:
-		}
+	for c.pace(c.baseCtx, &last) {
 		if fj.isSettled() {
 			return
 		}
-		w := c.workerByURL(fj.currentOwner())
+		w, doc, err := c.pollOwner(fj)
 		if w == nil {
 			continue // owner mid-rebalance
 		}
-		ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.HealthTimeout)
-		doc, err := w.c.Job(ctx, fj.id)
-		cancel()
 		if err != nil {
 			var apiErr *client.APIError
 			if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
 				// The worker restarted and lost its in-memory state: resubmit
 				// by content address; a checkpoint on its disk resumes it.
-				if !resubmitted {
+				if !resubmitted && c.ownsUp(fj, w) {
 					if _, serr := w.c.Submit(c.baseCtx, fj.req); serr == nil {
 						c.shared.Count("coord.jobs.reattached", 1)
 						resubmitted = true
@@ -431,7 +458,7 @@ func (c *Coordinator) watch(fj *fleetJob) {
 			c.settleJob(fj, doc)
 			return
 		case doc.Status == api.StateSuspended:
-			if !resubmitted {
+			if !resubmitted && c.ownsUp(fj, w) {
 				if _, serr := w.c.Submit(c.baseCtx, fj.req); serr == nil {
 					c.shared.Count("coord.jobs.resumed_in_place", 1)
 					resubmitted = true
@@ -441,6 +468,53 @@ func (c *Coordinator) watch(fj *fleetJob) {
 			resubmitted = false
 		}
 	}
+}
+
+// pace waits until PollEvery has passed since *last, then stamps *last with
+// the time of the request about to be sent. It returns false when ctx ends
+// first. The zero *last sends the first request at once.
+func (c *Coordinator) pace(ctx context.Context, last *time.Time) bool {
+	t := time.NewTimer(time.Until(last.Add(c.cfg.PollEvery)))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+	}
+	*last = time.Now()
+	return true
+}
+
+// pollOwner sends one status long-poll for a job to its current owner,
+// cancelable by setOwner and settle. A nil worker means the owner is not a
+// fleet member at the moment.
+func (c *Coordinator) pollOwner(fj *fleetJob) (*worker, api.Job, error) {
+	ctx, cancel := context.WithCancel(c.baseCtx)
+	defer cancel()
+	w := c.workerByURL(fj.beginWait(cancel))
+	defer fj.endWait()
+	if w == nil {
+		return nil, api.Job{}, nil
+	}
+	doc, err := c.jobStatus(ctx, w, fj.id)
+	return w, doc, err
+}
+
+// jobStatus sends one status request to a worker, a long-poll the worker
+// holds for up to HealthEvery, and counts it as coord.status.requests.
+func (c *Coordinator) jobStatus(ctx context.Context, w *worker, id string) (api.Job, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.HealthEvery+c.cfg.HealthTimeout)
+	defer cancel()
+	c.shared.Count("coord.status.requests", 1)
+	return w.c.JobWait(ctx, id, c.cfg.HealthEvery)
+}
+
+// ownsUp reports whether w still owns the job and is still up: only then may
+// a watcher resubmit the job to w in place.
+func (c *Coordinator) ownsUp(fj *fleetJob, w *worker) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return w.state == api.WorkerUp && fj.currentOwner() == w.url
 }
 
 // settleJob records a terminal document and persists sound results.
@@ -589,8 +663,13 @@ func (c *Coordinator) extractCheckpoint(fj *fleetJob, donor *worker) (api.Checkp
 		c.cfg.Logf("delta-coord: job %s: suspend on %s: %v", fj.id, donor.url, err)
 		return api.CheckpointTransfer{}, false
 	}
+	var last time.Time
 	for {
-		doc, err := donor.c.Job(ctx, fj.id)
+		if !c.pace(ctx, &last) {
+			c.cfg.Logf("delta-coord: job %s never suspended on %s", fj.id, donor.url)
+			return api.CheckpointTransfer{}, false
+		}
+		doc, err := c.jobStatus(ctx, donor, fj.id)
 		if err == nil {
 			if doc.Status.Terminal() {
 				// Finished while draining: nothing to hand off.
@@ -600,12 +679,6 @@ func (c *Coordinator) extractCheckpoint(fj *fleetJob, donor *worker) (api.Checkp
 			if doc.Status == api.StateSuspended {
 				break
 			}
-		}
-		select {
-		case <-ctx.Done():
-			c.cfg.Logf("delta-coord: job %s never suspended on %s", fj.id, donor.url)
-			return api.CheckpointTransfer{}, false
-		case <-time.After(c.cfg.PollEvery):
 		}
 	}
 	ct, err := donor.c.Checkpoint(ctx, fj.id)
@@ -711,12 +784,29 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, sub)
 }
 
+// handleGet serves a job's document; ?wait=<duration> long-polls until the
+// job settles, as on delta-served.
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
+	wait, err := api.ParseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_wait", err.Error())
+		return
+	}
 	id := r.PathValue("id")
 	c.mu.Lock()
 	fj := c.jobs[id]
 	c.mu.Unlock()
 	if fj != nil {
+		if wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-fj.done:
+			case <-t.C:
+			case <-r.Context().Done():
+			case <-c.baseCtx.Done():
+			}
+			t.Stop()
+		}
 		writeJSON(w, http.StatusOK, fj.snapshot())
 		return
 	}

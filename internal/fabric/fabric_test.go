@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -342,6 +345,9 @@ func TestGracefulRemovalHandsOffCheckpoint(t *testing.T) {
 	if snap.Counters["coord.handoff.checkpoints"] == 0 {
 		t.Fatal("no checkpoint was handed off")
 	}
+	if n := snap.Counters["coord.jobs.resumed_in_place"]; n != 0 {
+		t.Fatalf("the watcher resumed the job on the draining donor %d times", n)
+	}
 	if got := survivor.srv.Telemetry().Snapshot().Counters["served.checkpoints.received"]; got == 0 {
 		t.Fatal("survivor never received the checkpoint")
 	}
@@ -485,5 +491,150 @@ func TestBatchReusesWorkerConnections(t *testing.T) {
 	t.Logf("%d connections for %d jobs", n, jobs)
 	if n > jobs+8 {
 		t.Fatalf("coordinator opened %d connections to its worker for a %d-job batch, want at most %d", n, jobs, jobs+8)
+	}
+}
+
+// statusLog records when a worker received each job's status requests.
+type statusLog struct {
+	mu sync.Mutex
+	at map[string][]time.Time
+}
+
+func (l *statusLog) jobs() map[string][]time.Time {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return maps.Clone(l.at)
+}
+
+// newLoggedWorker starts a 2-slot worker behind a handler that logs every
+// GET /v1/simulations/{id}. With ignoreWait it also strips the query, so
+// the worker answers every status request at once, as one that predates
+// long-polls would.
+func newLoggedWorker(t *testing.T, ignoreWait bool) (*httptest.Server, *statusLog) {
+	t.Helper()
+	srv := server.New(server.Config{Workers: 2, QueueDepth: 64})
+	h := srv.Handler()
+	log := &statusLog{at: make(map[string][]time.Time)}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if id, ok := strings.CutPrefix(r.URL.Path, "/v1/simulations/"); ok && r.Method == http.MethodGet {
+			log.mu.Lock()
+			log.at[id] = append(log.at[id], time.Now())
+			log.mu.Unlock()
+			if ignoreWait {
+				r = r.Clone(r.Context())
+				r.URL.RawQuery = ""
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		ts.Close()
+	})
+	return ts, log
+}
+
+// runBatch posts a batch to the coordinator and requires every job done.
+func runBatch(t *testing.T, cts *httptest.Server, reqs []api.SubmitRequest) {
+	t.Helper()
+	resp := postJSON(t, cts.URL+"/v1/batch", api.BatchRequest{Jobs: reqs})
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	done := 0
+	for sc.Scan() {
+		var item api.BatchItem
+		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if item.Status != api.StateDone {
+			t.Fatalf("item %d settled as %s (%s)", item.Index, item.Status, item.Error)
+		}
+		done++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if done != len(reqs) {
+		t.Fatalf("got %d batch items, want %d", done, len(reqs))
+	}
+}
+
+// TestBatchLongPollsStatus: each watcher long-polls its worker, so a 32-job
+// batch costs a handful of status requests per job, not one per PollEvery
+// (dozens per job when every watcher polled every 20ms).
+func TestBatchLongPollsStatus(t *testing.T) {
+	const jobs = 32
+	wts, log := newLoggedWorker(t, false)
+	coord, cts := newCoord(t, Config{Workers: []string{wts.URL}, HealthEvery: 10 * time.Second})
+	var reqs []api.SubmitRequest
+	for i := 0; i < jobs; i++ {
+		r := quickReq(uint64(i + 1))
+		r.WarmupInstructions, r.BudgetInstructions = 20_000, 20_000
+		reqs = append(reqs, r)
+	}
+	runBatch(t, cts, reqs)
+
+	seen := log.jobs()
+	if len(seen) != jobs {
+		t.Fatalf("worker saw status requests for %d jobs, want %d", len(seen), jobs)
+	}
+	for id, at := range seen {
+		if len(at) > 3 {
+			t.Fatalf("job %s cost %d status requests, want at most 3", id, len(at))
+		}
+	}
+	if got := coord.Telemetry().Counter("coord.status.requests"); got == 0 || got > 3*jobs {
+		t.Fatalf("coord.status.requests = %d, want 1..%d", got, 3*jobs)
+	}
+}
+
+// TestStatusPollFloorWithoutLongPoll: against a worker that ignores ?wait=,
+// the watchers fall back to PollEvery as the floor between two requests for
+// one job rather than spinning.
+func TestStatusPollFloorWithoutLongPoll(t *testing.T) {
+	const pollEvery = 100 * time.Millisecond
+	wts, log := newLoggedWorker(t, true)
+	_, cts := newCoord(t, Config{Workers: []string{wts.URL}, HealthEvery: 10 * time.Second, PollEvery: pollEvery})
+	var reqs []api.SubmitRequest
+	for i := 0; i < 4; i++ {
+		r := quickReq(uint64(i + 1))
+		r.BudgetInstructions = 200_000
+		reqs = append(reqs, r)
+	}
+	runBatch(t, cts, reqs)
+
+	polled := false
+	for id, at := range log.jobs() {
+		span := at[len(at)-1].Sub(at[0])
+		if limit := int(span/pollEvery) + 2; len(at) > limit {
+			t.Fatalf("job %s: %d status requests in %v, want at most %d at one per %v",
+				id, len(at), span, limit, pollEvery)
+		}
+		polled = polled || len(at) > 2
+	}
+	if !polled {
+		t.Fatal("no job lived long enough to be polled more than twice")
+	}
+}
+
+// TestCoordinatorGetWait: the coordinator's job document long-polls too, and
+// a malformed wait is a structured 400.
+func TestCoordinatorGetWait(t *testing.T) {
+	w := newWorker(t, server.Config{Workers: 1, QueueDepth: 4})
+	_, cts := newCoord(t, Config{Workers: []string{w.ts.URL}})
+	sub := decode[api.SubmitResponse](t, postJSON(t, cts.URL+"/v1/simulations", quickReq(3)))
+	j := decode[api.Job](t, get(t, cts.URL+"/v1/simulations/"+sub.ID+"?wait=1m"))
+	if j.Status != api.StateDone || j.Result == nil {
+		t.Fatalf("long-poll answered %+v, want the done document", j)
+	}
+	resp := get(t, cts.URL+"/v1/simulations/"+sub.ID+"?wait=later")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad wait: status %d, want 400", resp.StatusCode)
+	}
+	if body := decode[api.ErrorBody](t, resp); body.Error.Code != "invalid_wait" {
+		t.Fatalf("bad wait: error code %q", body.Error.Code)
 	}
 }

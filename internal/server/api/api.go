@@ -10,6 +10,8 @@ package api
 
 import (
 	"encoding/json"
+	"fmt"
+	"time"
 
 	"delta/internal/scenario"
 )
@@ -146,6 +148,27 @@ type Job struct {
 	// Result is set once the job is done (and, with partial data, on
 	// deadline-canceled jobs).
 	Result *Result `json:"result,omitempty"`
+}
+
+// MaxWait caps the long-poll a status request may ask for: a longer ?wait=
+// is served as MaxWait.
+const MaxWait = 30 * time.Second
+
+// ParseWait reads the ?wait= parameter of GET /v1/simulations/{id}, a Go
+// duration ("2s", "500ms"). With a positive wait the server answers as soon
+// as the job settles (terminal or suspended), or with the current document
+// once the wait elapses; empty or zero answers at once, as without the
+// parameter. Malformed or negative values are errors, which servers answer
+// with a structured 400 "invalid_wait".
+func ParseWait(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("wait must be a non-negative Go duration such as 2s: %q", v)
+	}
+	return min(d, MaxWait), nil
 }
 
 // BatchRequest submits many simulations at once (POST /v1/batch on the

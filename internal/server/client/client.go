@@ -215,12 +215,28 @@ func (c *Client) Submit(ctx context.Context, req api.SubmitRequest) (api.SubmitR
 
 // Job fetches a job's status document.
 func (c *Client) Job(ctx context.Context, id string) (api.Job, error) {
+	return c.JobWait(ctx, id, 0)
+}
+
+// JobWait fetches a job's status document as a long-poll: the server answers
+// as soon as the job settles (terminal or suspended), or with the current
+// document once wait (capped at api.MaxWait) elapses. wait <= 0 is Job. A
+// server that ignores the parameter answers at once.
+func (c *Client) JobWait(ctx context.Context, id string, wait time.Duration) (api.Job, error) {
+	path := "/v1/simulations/" + id
+	if wait > 0 {
+		path += "?wait=" + neturl.QueryEscape(wait.String())
+	}
 	var out api.Job
 	err := c.withRetry(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/v1/simulations/"+id, nil, &out)
+		return c.do(ctx, http.MethodGet, path, nil, &out)
 	})
 	return out, err
 }
+
+// waitFor is how long one of Wait's status requests asks the server to hold
+// the answer, so a running job costs one request per ten seconds.
+const waitFor = 10 * time.Second
 
 // Suspend asks the server to checkpoint the job at its next quantum boundary
 // and release its worker. Suspension is asynchronous: the returned document
@@ -232,14 +248,18 @@ func (c *Client) Suspend(ctx context.Context, id string) (api.Job, error) {
 	return out, err
 }
 
-// Wait polls until the job settles: a terminal state, or suspended. With a
+// Wait blocks until the job settles: a terminal state, or suspended. With a
 // Retry policy set, a suspended job is instead resumed transparently — its
 // content-addressed request is resubmitted (reattaching to the checkpoint)
-// and the wait continues until the resumed run finishes.
+// and the wait continues until the resumed run finishes. Each status request
+// is a long-poll (JobWait), so the answer arrives as the job settles; poll
+// is the minimum interval between two requests, the rate at which a server
+// that ignores long-polls is polled.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (api.Job, error) {
 	if poll <= 0 {
 		poll = 100 * time.Millisecond
 	}
+	var last api.Job
 	// One resubmission per observed suspension: the server needs a moment to
 	// replace the suspended job with the resumed one, and re-submitting on
 	// every poll tick would hammer Submit while the document still reads
@@ -247,10 +267,15 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (api.J
 	// so a job that suspends again (e.g. a second drain) resumes again.
 	resubmitted := false
 	for {
-		j, err := c.Job(ctx, id)
+		start := time.Now()
+		j, err := c.JobWait(ctx, id, waitFor)
 		if err != nil {
+			if ctx.Err() != nil {
+				return last, ctx.Err()
+			}
 			return j, err
 		}
+		last = j
 		if j.Status.Terminal() {
 			return j, nil
 		}
@@ -270,7 +295,7 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (api.J
 		select {
 		case <-ctx.Done():
 			return j, ctx.Err()
-		case <-time.After(poll):
+		case <-time.After(time.Until(start.Add(poll))):
 		}
 	}
 }

@@ -260,10 +260,17 @@ func (j *job) suspendRequested() bool {
 
 // finish moves the job to a settled state (terminal, or suspended awaiting
 // resubmission), publishes the final "done" progress line, closes every
-// subscriber, and wakes waiters. A suspended job never transitions again:
-// resuming replaces it with a fresh job under the same ID.
+// subscriber, and wakes waiters. A job settles once: a later call (a panic
+// contained after the job finished) changes nothing. A suspended job never
+// transitions again: resuming replaces it with a fresh job under the same ID.
 func (j *job) finish(status api.JobState, errMsg string, result *api.Result) {
 	j.mu.Lock()
+	select {
+	case <-j.done:
+		j.mu.Unlock()
+		return
+	default:
+	}
 	j.status = status
 	j.errMsg = errMsg
 	j.result = result

@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -217,6 +218,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = ferr
 		}
 	}
+	// Every accepted job has settled; end any long-poll still waiting.
+	s.cancel()
 	s.cfg.Logf("delta-served: drained")
 	return err
 }
@@ -277,6 +280,7 @@ func (s *Server) queued() int {
 func (s *Server) runJob(j *job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
+	defer s.recoverJob(j)
 	if j.suspendRequested() {
 		// Suspended before reaching a worker (drain of the queue backlog).
 		// A resume job's checkpoint is already on disk; a fresh job simply
@@ -359,11 +363,8 @@ func (s *Server) runJob(j *job) {
 		j.finish(api.StateFailed, err.Error(), nil)
 		return
 	}
-	// Recycle the chip's arrays for the next job once this one has read
-	// its results and written any suspend checkpoint.
-	defer sim.Close()
 	s.shared.Count("served.simulations.executed", 1)
-	res, runErr := sim.RunCtx(ctx)
+	res, runErr := runSim(sim, ctx)
 	closeSink()
 	result := toAPIResult(res, runErr != nil, time.Since(started))
 	switch {
@@ -390,7 +391,28 @@ func (s *Server) runJob(j *job) {
 		s.shared.Count("served.jobs.failed", 1)
 		j.finish(api.StateFailed, runErr.Error(), nil)
 	}
+	// Recycle the chip's arrays for the next job now that this one has read
+	// its results and written any suspend checkpoint. A panic skips this on
+	// purpose: a chip abandoned mid-run goes to the GC, not the free list.
+	sim.Close()
 	s.cfg.Logf("delta-served: job %s %s in %s", j.id, j.snapshot().Status, time.Since(started).Round(time.Millisecond))
+}
+
+// runSim runs a job's simulation; tests replace it to inject faults.
+var runSim = (*delta.Simulator).RunCtx
+
+// recoverJob contains a panic to the job that raised it: the job fails with
+// the panic value, the stack goes to the log, and the worker goes on to the
+// next job instead of taking the process and every other job down.
+func (s *Server) recoverJob(j *job) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	s.cfg.Logf("delta-served: job %s panicked: %v\n%s", j.id, r, debug.Stack())
+	s.shared.Count("served.jobs.panicked", 1)
+	s.shared.Count("served.jobs.failed", 1)
+	j.finish(api.StateFailed, fmt.Sprintf("internal error: simulation panicked: %v", r), nil)
 }
 
 // storeResult persists a settled job's document to the disk-backed result
@@ -624,11 +646,32 @@ func (s *Server) handleAction(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.snapshot())
 }
 
+// handleGet serves a job's document. With ?wait=<duration> it is a
+// long-poll: the answer comes when the job settles (terminal or suspended),
+// the wait (capped at api.MaxWait) elapses, the client goes away or the
+// server stops, so a watcher needs one request per settlement instead of
+// one per poll tick.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	wait, err := api.ParseWait(r.URL.Query().Get("wait"))
+	if err != nil {
+		s.shared.Count("served.rejected.invalid", 1)
+		writeError(w, http.StatusBadRequest, "invalid_wait", err.Error())
+		return
+	}
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
 		writeError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
 		return
+	}
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-j.done:
+		case <-t.C:
+		case <-r.Context().Done():
+		case <-s.baseCtx.Done():
+		}
+		t.Stop()
 	}
 	writeJSON(w, http.StatusOK, j.snapshot())
 }

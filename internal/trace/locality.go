@@ -282,8 +282,7 @@ func (g *StackDistGen) AppendHotLines(dst []uint64, n int, _ *HotScratch) []uint
 	dst = slices.Grow(dst, n)
 	end := len(dst) + n
 	for slot := g.now - 1; slot >= 0 && len(dst) < end; slot-- {
-		line := g.slotLine[slot]
-		if s, ok := g.lineSlot[line]; ok && s == slot {
+		if line := g.slotLine[slot]; line != deadSlot {
 			dst = append(dst, g.Base+line)
 		}
 	}

@@ -209,12 +209,10 @@ func refHotLines(loc Locality, n int) []uint64 {
 		if n > g.depth {
 			n = g.depth
 		}
-		out := make([]uint64, 0, n)
-		for slot := g.now - 1; slot >= 0 && len(out) < n; slot-- {
-			line := g.slotLine[slot]
-			if s, ok := g.lineSlot[line]; ok && s == slot {
-				out = append(out, g.Base+line)
-			}
+		// The i-th most recent line, selected through the Fenwick tree.
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = g.Base + g.slotLine[g.bit.kth(g.depth-i)]
 		}
 		return out
 	case *MixtureGen:

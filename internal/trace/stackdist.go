@@ -26,20 +26,31 @@ type StackDistGen struct {
 
 	// LRU stack machinery: each live line occupies a slot indexed by its
 	// last-access timestamp. bit counts live slots; slotLine maps slot ->
-	// line; lineSlot maps line -> slot.
+	// line (deadSlot once the line has moved on). Only the slots' order
+	// matters, so the slot space starts small and compact renumbers it.
 	bit      *fenwick
 	slotLine []uint64
-	lineSlot map[uint64]int
 	now      int
 	depth    int
 	nextLine uint64
-	maxSlots int
 }
+
+// stackDistSlots is a new generator's slot space; compact doubles it while
+// live lines would fill half of it.
+const stackDistSlots = 1 << 10
+
+// deadSlot marks a slot whose line has since moved to a newer slot.
+const deadSlot = ^uint64(0)
 
 // NewStackDistGen builds a generator. dist must be a non-empty probability
 // vector (it is normalized internally); mass not covered by the vector goes
 // to "new line".
 func NewStackDistGen(base uint64, dist []float64, seed uint64) *StackDistGen {
+	return newStackDistGen(base, dist, seed, stackDistSlots)
+}
+
+// newStackDistGen builds a generator over a slot space of the given size.
+func newStackDistGen(base uint64, dist []float64, seed uint64, slots int) *StackDistGen {
 	if len(dist) == 0 {
 		panic("trace: empty distance distribution")
 	}
@@ -58,18 +69,16 @@ func NewStackDistGen(base uint64, dist []float64, seed uint64) *StackDistGen {
 		}
 	}
 	g := &StackDistGen{
-		Base:     base,
-		rng:      sim.NewRng(seed),
-		lineSlot: make(map[uint64]int),
-		maxSlots: 1 << 20,
+		Base: base,
+		rng:  sim.NewRng(seed),
 	}
 	run := 0.0
 	for _, p := range dist {
 		run += p
 		g.cum = append(g.cum, run)
 	}
-	g.bit = newFenwick(g.maxSlots)
-	g.slotLine = make([]uint64, g.maxSlots)
+	g.bit = newFenwick(slots)
+	g.slotLine = make([]uint64, slots)
 	return g
 }
 
@@ -99,55 +108,47 @@ func (g *StackDistGen) Next() Access {
 		k := g.depth - d
 		slot := g.bit.kth(k)
 		line = g.slotLine[slot]
+		g.slotLine[slot] = deadSlot
 		g.bit.add(slot, -1)
-		delete(g.lineSlot, line)
 	}
 	g.place(line)
 	return Access{Line: g.Base + line}
 }
 
 func (g *StackDistGen) place(line uint64) {
-	if g.now == g.maxSlots {
+	if g.now == len(g.slotLine) {
 		g.compact()
 	}
 	slot := g.now
 	g.now++
 	g.bit.add(slot, 1)
 	g.slotLine[slot] = line
-	g.lineSlot[line] = slot
 }
 
-// compact rebuilds the timestamp space when it fills, preserving order.
+// compact renumbers the live slots 0..depth-1 in order when the timestamp
+// space fills, in one walk over the slots. The space doubles while live
+// lines would fill half of it, or compaction would thrash (or overflow
+// outright when every slot is live).
 func (g *StackDistGen) compact() {
-	type pair struct {
-		slot int
-		line uint64
+	old := g.slotLine[:g.now]
+	size := len(old)
+	for g.depth >= size/2 {
+		size *= 2
 	}
-	live := make([]pair, 0, g.depth)
-	for line, slot := range g.lineSlot {
-		live = append(live, pair{slot, line})
+	if size > len(old) {
+		g.slotLine = make([]uint64, size)
+		g.bit = newFenwick(size)
 	}
-	// Insertion sort by slot; depth is modest in practice.
-	for i := 1; i < len(live); i++ {
-		for j := i; j > 0 && live[j-1].slot > live[j].slot; j-- {
-			live[j-1], live[j] = live[j], live[j-1]
+	// Packing in place is safe: slot n is written only after old[n] was read.
+	n := 0
+	for _, line := range old {
+		if line != deadSlot {
+			g.slotLine[n] = line
+			n++
 		}
 	}
-	// Grow the slot space when live lines crowd it, or compaction would
-	// thrash (or overflow outright when every slot is live).
-	for g.depth >= g.maxSlots/2 {
-		g.maxSlots *= 2
-	}
-	g.slotLine = make([]uint64, g.maxSlots)
-	g.bit = newFenwick(g.maxSlots)
-	g.lineSlot = make(map[uint64]int, len(live))
-	g.now = 0
-	for _, p := range live {
-		g.bit.add(g.now, 1)
-		g.slotLine[g.now] = p.line
-		g.lineSlot[p.line] = g.now
-		g.now++
-	}
+	g.now = n
+	g.bit.fillPrefix(n)
 }
 
 // fenwick is a binary indexed tree supporting point add and select-kth.
@@ -157,6 +158,13 @@ type fenwick struct {
 }
 
 func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1), n: n} }
+
+// fillPrefix resets the tree to slots 0..n-1 live and the rest empty.
+func (f *fenwick) fillPrefix(n int) {
+	for i := 1; i <= f.n; i++ {
+		f.tree[i] = max(0, min(i, n)-(i-i&(-i)))
+	}
+}
 
 func (f *fenwick) add(i, delta int) {
 	for i++; i <= f.n; i += i & (-i) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -175,16 +176,48 @@ func TestStackDistGenExactDistance(t *testing.T) {
 }
 
 func TestStackDistCompact(t *testing.T) {
-	g := NewStackDistGen(0, []float64{0.5, 0.25, 0.125}, 4)
-	g.maxSlots = 256 // force frequent compaction
-	g.bit = newFenwick(g.maxSlots)
-	g.slotLine = make([]uint64, g.maxSlots)
+	g := newStackDistGen(0, []float64{0.5, 0.25, 0.125}, 4, 256) // frequent compaction
 	for i := 0; i < 10000; i++ {
 		g.Next()
 	}
 	// Survival: depth grows only via the ~0.125 new-line tail.
 	if g.Depth() < 100 {
 		t.Fatalf("depth %d suspiciously small", g.Depth())
+	}
+}
+
+// TestStackDistMatchesWideReference: a generator on the default slot space,
+// which compacts and doubles as it deepens, draws the same stream as one on
+// 1<<20 slots, which never compacts within 1M draws. Streams depend only on
+// the order of the slots, not on their numbers.
+func TestStackDistMatchesWideReference(t *testing.T) {
+	const draws = 1_000_000
+	shallow := make([]float64, 8) // 10% new lines: the slot space doubles
+	for i := range shallow {
+		shallow[i] = 0.9 / 8
+	}
+	deep := make([]float64, 200) // 0.2% new lines: compaction at a fixed size
+	for i := range deep {
+		deep[i] = 0.998 / 200
+	}
+	for name, dist := range map[string][]float64{"shallow": shallow, "deep": deep} {
+		got := NewStackDistGen(0, slices.Clone(dist), 7)
+		ref := newStackDistGen(0, slices.Clone(dist), 7, 1<<20)
+		for i := 0; i < draws; i++ {
+			if a, b := got.Next().Line, ref.Next().Line; a != b {
+				t.Fatalf("%s: draw %d: line %d, reference %d", name, i, a, b)
+			}
+		}
+		if got.Depth() != ref.Depth() {
+			t.Fatalf("%s: depth %d, reference %d", name, got.Depth(), ref.Depth())
+		}
+		if len(got.slotLine) >= len(ref.slotLine) {
+			t.Fatalf("%s: slot space grew to %d, the reference's size", name, len(got.slotLine))
+		}
+		a, b := got.AppendHotLines(nil, 1000, nil), ref.AppendHotLines(nil, 1000, nil)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: hot lines differ from the reference", name)
+		}
 	}
 }
 

@@ -376,8 +376,9 @@ fi
 # Boot a coordinator over two workers, batch-submit four jobs (one duplicate,
 # one long enough to interrupt), kill the worker that owns the long job
 # mid-run, and require: all four NDJSON results arrive, the duplicate cost no
-# extra simulation, and the rebalanced job's result is byte-equal to an
-# uninterrupted reference run.
+# extra simulation, the rebalanced job's result is byte-equal to an
+# uninterrupted reference run, and the coordinator long-polled job status
+# (about one request per job per -health-every, not one per -poll-every).
 
 COORD_BIN="$(dirname "${BIN}")/delta-coord"
 W1_PORT=$((20000 + RANDOM % 20000)); W1_ADDR="127.0.0.1:${W1_PORT}"
@@ -446,6 +447,7 @@ wait_healthy "${CO_ADDR}" "${CO_PID}" "${CO_LOG}"
 curl -sf "http://${CO_ADDR}/v1/fleet" | grep -q "http://${W2_ADDR}"
 
 echo "== fabric lane: batch-submit 4 jobs (1 duplicate, 1 long)"
+BATCH_START=${SECONDS}
 curl -sf -X POST "http://${CO_ADDR}/v1/batch" -H 'Content-Type: application/json' \
   -d "{\"jobs\":[${LONG_REQ},${QUICK_A},${QUICK_B},${QUICK_A}]}" >"${BATCH_OUT}" &
 BATCH_PID=$!
@@ -472,6 +474,7 @@ kill -9 "${VICTIM_PID}" 2>/dev/null || true
 
 echo "== fabric lane: all 4 results arrive"
 wait "${BATCH_PID}" || { echo "batch request failed:"; cat "${BATCH_OUT}"; cat "${CO_LOG}"; exit 1; }
+BATCH_SECS=$((SECONDS - BATCH_START + 1))
 LINES=$(wc -l <"${BATCH_OUT}")
 [ "${LINES}" -eq 4 ] || { echo "batch streamed ${LINES} lines, want 4:"; cat "${BATCH_OUT}"; exit 1; }
 DONE_LINES=$(grep -c '"status":"done"' "${BATCH_OUT}")
@@ -498,6 +501,15 @@ echo "${CO_METRICS}" | grep -q '^coord_jobs_routed 3$' \
        echo "${CO_METRICS}" | grep '^coord_'; exit 1; }
 echo "${CO_METRICS}" | grep -q '^coord_jobs_rebalanced [1-9]' \
   || { echo "no rebalance recorded after killing a worker:"; echo "${CO_METRICS}" | grep '^coord_'; exit 1; }
+
+echo "== fabric lane: job status was long-polled"
+# At -health-every 100ms a watcher sends at most ~10 status requests a
+# second; polling every -poll-every (25ms) would send 40.
+STATUS_REQS=$(echo "${CO_METRICS}" | sed -n 's/^coord_status_requests \([0-9]*\)$/\1/p')
+STATUS_MAX=$((12 * BATCH_SECS + 20))
+[ -n "${STATUS_REQS}" ] && [ "${STATUS_REQS}" -gt 0 ] && [ "${STATUS_REQS}" -le "${STATUS_MAX}" ] \
+  || { echo "coord_status_requests '${STATUS_REQS}' not in 1..${STATUS_MAX} for a ${BATCH_SECS}s batch:"; \
+       echo "${CO_METRICS}" | grep '^coord_'; exit 1; }
 
 echo "== fabric lane: coordinator restart serves stored results"
 kill -TERM "${CO_PID}"; wait "${CO_PID}" || true
