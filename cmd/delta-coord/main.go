@@ -48,7 +48,6 @@ func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	fleet := flag.String("fleet", "", "comma-separated delta-served worker base URLs (more can join at runtime)")
 	resultDir := flag.String("result-dir", "", "persist completed results to a content-addressed store here; duplicate submissions dedupe against it across coordinator restarts")
-	replicas := flag.Int("replicas", 64, "virtual nodes per worker on the consistent-hash ring")
 	healthEvery := flag.Duration("health-every", 2*time.Second, "worker health-probe interval")
 	failAfter := flag.Int("health-fail-after", 3, "consecutive probe failures before a worker is marked down and its jobs rebalance")
 	pollEvery := flag.Duration("poll-every", 50*time.Millisecond, "minimum interval between two status requests for one job; each request long-polls the worker for up to -health-every")
@@ -68,12 +67,11 @@ func main() {
 			workers = append(workers, u)
 		}
 	}
-	log.Printf("delta-coord %s starting on %s (%d workers, replicas=%d)",
-		version.String(), *addr, len(workers), *replicas)
+	log.Printf("delta-coord %s starting on %s (%d workers)",
+		version.String(), *addr, len(workers))
 
 	coord, err := fabric.New(fabric.Config{
 		Workers:        workers,
-		Replicas:       *replicas,
 		ResultDir:      *resultDir,
 		HealthEvery:    *healthEvery,
 		FailAfter:      *failAfter,

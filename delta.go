@@ -268,8 +268,10 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 	})
 }
 
-// validate rejects configurations the internal layers would panic on.
-func (c Config) validate() error {
+// Validate rejects configurations the internal layers would panic on: an
+// unregistered policy (or policy params for one) and a core count that is
+// not a square power of two. New and Restore apply it.
+func (c Config) Validate() error {
 	if !policies.Registered(string(c.Policy)) {
 		return fmt.Errorf("delta: unknown policy %q (registered: %s)",
 			c.Policy, strings.Join(Policies(), " "))
@@ -300,7 +302,7 @@ func (c Config) validate() error {
 // newSimulator is the single construction path behind New and Restore.
 func newSimulator(cfg Config) (*Simulator, error) {
 	cfg = cfg.Canonical()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	ccfg := chip.DefaultConfig(cfg.Cores)

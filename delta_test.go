@@ -139,12 +139,15 @@ func TestFacadeCheckedRunAllPolicies(t *testing.T) {
 	// the public API: a violation anywhere in the enforcement path panics the
 	// run.
 	for _, p := range allPolicyKinds() {
-		sim := newSim(t, Config{Cores: 16, Policy: p, Check: true,
-			WarmupInstructions: 10_000, BudgetInstructions: 20_000})
-		sim.LoadMix("w2")
-		if res := sim.Run(); len(res.Cores) != 16 {
-			t.Fatalf("%v: results for %d cores", p, len(res.Cores))
-		}
+		t.Run(string(p), func(t *testing.T) {
+			t.Parallel()
+			sim := newSim(t, Config{Cores: 16, Policy: p, Check: true,
+				WarmupInstructions: 10_000, BudgetInstructions: 20_000})
+			sim.LoadMix("w2")
+			if res := sim.Run(); len(res.Cores) != 16 {
+				t.Fatalf("results for %d cores", len(res.Cores))
+			}
+		})
 	}
 }
 

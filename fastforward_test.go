@@ -1,9 +1,6 @@
 package delta
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestFastForwardEquivalence bounds the divergence between analytical
 // fast-forward and simulated warmup. The analytical models are approximations
@@ -109,39 +106,7 @@ func abs(x float64) float64 {
 // NOT re-seed (chip.FastForward panics on a chip that has advanced, so a
 // regression here fails loudly).
 func TestFastForwardSnapshotRestore(t *testing.T) {
-	ref := newTestSim(t, PolicyDelta, WithFastForward(true))
-	ref.LoadMix("w1")
-	if _, err := ref.RunCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	want := ref.Fingerprint()
-
-	sim := newTestSim(t, PolicyDelta, WithFastForward(true))
-	sim.LoadMix("w1")
-	runToBoundary(t, sim, 3)
-	snap, err := sim.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := snap.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Restore(decoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resumed.cfg.FastForward {
-		t.Fatal("FastForward flag lost across encode/decode")
-	}
-	if _, err := resumed.RunCtx(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := resumed.Fingerprint(); got != want {
-		t.Fatalf("restored fast-forwarded run fingerprint %s, want %s", got, want)
-	}
+	checkRestoreEquivalence(t, restoreCase{
+		pol: PolicyDelta, mix: "w1", opts: []Option{WithFastForward(true)}, boundaries: []int{3},
+	})
 }

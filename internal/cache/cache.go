@@ -73,14 +73,6 @@ type Stats struct {
 	BulkWalks   uint64 // bulk-invalidation tag walks performed
 }
 
-// MissRate returns misses/accesses, or 0 when idle.
-func (s *Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // EvictFn observes a line leaving the cache (capacity eviction or
 // invalidation). Inclusive hierarchies use it to back-invalidate upper
 // levels; the LLC uses it to notify the directory.
@@ -265,9 +257,6 @@ func (c *Cache) SetIndex(lineAddr uint64) int { return int(lineAddr & c.setMask)
 func (c *Cache) SetIndexShifted(lineAddr uint64, k int) int {
 	return int((lineAddr >> uint(k)) & c.setMask)
 }
-
-// SetOf returns the set holding a flat line index.
-func (c *Cache) SetOf(idx int) int { return idx / c.Ways }
 
 // WayOf returns the way within its set of a flat line index.
 func (c *Cache) WayOf(idx int) int { return idx % c.Ways }

@@ -161,22 +161,11 @@ type Ideal struct {
 	history []allocStat
 
 	// rec receives one KindAlloc event per allocator invocation, carrying
-	// the allocator's wall-clock cost (the Table VI observable). Never nil;
-	// recSet marks an explicit SetRecorder.
-	rec    telemetry.Recorder
-	recSet bool
+	// the allocator's wall-clock cost (the Table VI observable): the chip's
+	// recorder, or Nop when the chip has none (never nil).
+	rec telemetry.Recorder
 
 	Stats IdealStats
-}
-
-// SetRecorder attaches a telemetry recorder; nil restores the no-op
-// recorder. An explicit recorder takes precedence over the chip's.
-func (p *Ideal) SetRecorder(r telemetry.Recorder) {
-	if r == nil {
-		r = telemetry.Nop{}
-	}
-	p.rec = r
-	p.recSet = true
 }
 
 type allocStat struct {
@@ -223,10 +212,8 @@ func (p *Ideal) Name() string { return "ideal-central" }
 func (p *Ideal) Attach(c *chip.Chip) {
 	p.c = c
 	p.InitEnforcement(c)
-	if !p.recSet {
-		if r := c.Recorder(); r != nil {
-			p.rec = r
-		}
+	if r := c.Recorder(); r != nil {
+		p.rec = r
 	}
 	p.n = c.Cores()
 	p.w = c.Ways()

@@ -78,21 +78,9 @@ type Delta struct {
 
 	Stats Stats
 
-	// rec receives structured telemetry events (never nil; Nop by default).
-	// recSet marks an explicit SetRecorder so Attach does not override it
-	// with the chip's recorder.
-	rec    telemetry.Recorder
-	recSet bool
-}
-
-// SetRecorder attaches a telemetry recorder; nil restores the no-op
-// recorder. An explicit recorder takes precedence over the chip's.
-func (d *Delta) SetRecorder(r telemetry.Recorder) {
-	if r == nil {
-		r = telemetry.Nop{}
-	}
-	d.rec = r
-	d.recSet = true
+	// rec receives structured telemetry events: the chip's recorder, or
+	// Nop when the chip has none (never nil).
+	rec telemetry.Recorder
 }
 
 // New builds a DELTA policy with the given parameters, panicking on
@@ -120,10 +108,8 @@ func (d *Delta) SetProcess(core, pid int) { d.pid[core] = pid }
 func (d *Delta) Attach(c *chip.Chip) {
 	d.c = c
 	d.InitEnforcement(c)
-	if !d.recSet {
-		if r := c.Recorder(); r != nil {
-			d.rec = r
-		}
+	if r := c.Recorder(); r != nil {
+		d.rec = r
 	}
 	d.n = c.Cores()
 	d.w = c.Ways()

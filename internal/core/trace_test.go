@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"delta/internal/chip"
 	"delta/internal/telemetry"
 )
 
@@ -12,9 +13,11 @@ import (
 // configuration, workloads and seed yield an identical event sequence.
 func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	run := func() []telemetry.Event {
-		c, d := testChip(testParams())
 		rec := telemetry.NewMemory(0)
-		d.SetRecorder(rec)
+		cfg := chip.DefaultConfig(16)
+		cfg.Quantum = 500
+		cfg.Recorder = rec
+		c := chip.New(cfg, New(testParams()))
 		// One hungry app among idle neighbours guarantees expansion events.
 		c.SetWorkload(5, region(2048, 1), true)
 		for i := 0; i < 16; i++ {

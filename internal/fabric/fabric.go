@@ -39,9 +39,6 @@ type Config struct {
 	// Workers are the initial fleet members' base URLs; more can join at
 	// runtime via POST /v1/fleet/workers.
 	Workers []string
-	// Replicas is the virtual-node count per worker on the hash ring;
-	// <= 0 uses 64.
-	Replicas int
 	// ResultDir, when set, persists every completed result to a
 	// content-addressed store that survives coordinator restarts; duplicate
 	// submissions dedupe against it without touching a worker. Empty
@@ -49,8 +46,6 @@ type Config struct {
 	ResultDir string
 	// HealthEvery is the worker health-probe interval; <= 0 uses 2s.
 	HealthEvery time.Duration
-	// HealthTimeout bounds one probe; <= 0 uses 1s.
-	HealthTimeout time.Duration
 	// FailAfter is how many consecutive probe failures mark a worker down
 	// and trigger rebalancing; <= 0 uses 3.
 	FailAfter int
@@ -71,6 +66,9 @@ type Config struct {
 	// Logf receives one line per fleet event; nil silences.
 	Logf func(format string, args ...any)
 }
+
+// healthTimeout bounds one worker health probe.
+const healthTimeout = time.Second
 
 // worker is one fleet member as the coordinator sees it.
 type worker struct {
@@ -199,14 +197,8 @@ type Coordinator struct {
 // New builds a coordinator over the configured workers and starts its
 // health-check loop.
 func New(cfg Config) (*Coordinator, error) {
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 64
-	}
 	if cfg.HealthEvery <= 0 {
 		cfg.HealthEvery = 2 * time.Second
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = time.Second
 	}
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 3
@@ -335,7 +327,7 @@ func (c *Coordinator) rebuildRingLocked() {
 			up = append(up, w.url)
 		}
 	}
-	c.ring = newRing(up, c.cfg.Replicas)
+	c.ring = newRing(up, ringReplicas)
 }
 
 func (c *Coordinator) workerByURL(url string) *worker {
@@ -503,7 +495,7 @@ func (c *Coordinator) pollOwner(fj *fleetJob) (*worker, api.Job, error) {
 // jobStatus sends one status request to a worker, a long-poll the worker
 // holds for up to HealthEvery, and counts it as coord.status.requests.
 func (c *Coordinator) jobStatus(ctx context.Context, w *worker, id string) (api.Job, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.HealthEvery+c.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.HealthEvery+healthTimeout)
 	defer cancel()
 	c.shared.Count("coord.status.requests", 1)
 	return w.c.JobWait(ctx, id, c.cfg.HealthEvery)
@@ -552,7 +544,7 @@ func (c *Coordinator) healthLoop() {
 		}
 		c.mu.Unlock()
 		for _, w := range probe {
-			ctx, cancel := context.WithTimeout(c.baseCtx, c.cfg.HealthTimeout)
+			ctx, cancel := context.WithTimeout(c.baseCtx, healthTimeout)
 			_, err := w.c.Health(ctx)
 			cancel()
 			c.noteProbe(w, err)

@@ -30,11 +30,11 @@ func hash64(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
+// ringReplicas is the virtual-node count per worker on the fleet's ring.
+const ringReplicas = 64
+
 // newRing builds a ring from members with the given virtual-node count.
 func newRing(members []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
 	r := &ring{points: make([]ringPoint, 0, len(members)*replicas)}
 	for _, m := range members {
 		for i := 0; i < replicas; i++ {

@@ -111,9 +111,6 @@ func (s *System) Access(lineAddr uint64, now uint64) (uint64, int) {
 	return wait + s.cfg.LatencyCycles, s.tiles[m]
 }
 
-// StatsFor returns a copy of controller m's counters.
-func (s *System) StatsFor(m int) Stats { return s.stats[m] }
-
 // Sub returns the counter deltas since a previous snapshot; the telemetry
 // sampler uses it to derive windowed queue-depth series.
 func (s Stats) Sub(prev Stats) Stats {

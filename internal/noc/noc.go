@@ -101,9 +101,6 @@ func New(topo *geom.Mesh, cfg Config) *Mesh {
 	return m
 }
 
-// Topology exposes the underlying mesh.
-func (m *Mesh) Topology() *geom.Mesh { return m.topo }
-
 // DirectedLinks returns the number of directed mesh links, the denominator
 // of the telemetry sampler's link-utilization series.
 func (m *Mesh) DirectedLinks() int {

@@ -456,15 +456,6 @@ func (c *Client) Batch(ctx context.Context, jobs []api.SubmitRequest, fn func(ap
 	return sc.Err()
 }
 
-// Fleet fetches the coordinator's fleet document (GET /v1/fleet).
-func (c *Client) Fleet(ctx context.Context) (api.FleetStatus, error) {
-	var out api.FleetStatus
-	err := c.withRetry(ctx, func() error {
-		return c.do(ctx, http.MethodGet, "/v1/fleet", nil, &out)
-	})
-	return out, err
-}
-
 // AddWorker registers a delta-served worker with the coordinator.
 func (c *Client) AddWorker(ctx context.Context, url string) (api.FleetStatus, error) {
 	var out api.FleetStatus

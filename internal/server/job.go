@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 
 	"delta"
@@ -14,7 +13,7 @@ import (
 )
 
 // normalize resolves a submission's defaults and validates it without
-// building a chip: policy and core-count checks mirror the facade's, app
+// building a chip: policy and core-count checks are the facade's, app
 // short codes resolve to full model names (so "mcf" and "429.mcf" are the
 // same content address), and workload shape errors surface as
 // invalid_config. The returned request is canonical: byte-identical for any
@@ -41,29 +40,11 @@ func normalize(req api.SubmitRequest) (api.SubmitRequest, error) {
 		Multithreaded:      req.Multithreaded,
 		Seed:               req.Seed,
 	}.Canonical()
-	// Policy names resolve through the registry, so externally registered
-	// policies are submittable and the rejection lists what exists.
-	known := false
-	for _, name := range delta.Policies() {
-		if name == string(cfg.Policy) {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return req, fmt.Errorf("unknown policy %q (registered: %s)",
-			req.Policy, strings.Join(delta.Policies(), ", "))
-	}
-	n := cfg.Cores
-	if n <= 0 || n&(n-1) != 0 {
-		return req, fmt.Errorf("core count %d is not a power of two", n)
-	}
-	side := 1
-	for side*side < n {
-		side++
-	}
-	if side*side != n {
-		return req, fmt.Errorf("core count %d is not a square mesh", n)
+	// The facade's own checks: policy names resolve through the registry,
+	// so externally registered policies are submittable and the rejection
+	// lists what exists.
+	if err := cfg.Validate(); err != nil {
+		return req, err
 	}
 	if (req.Mix == "") == (len(req.Apps) == 0) {
 		return req, fmt.Errorf("exactly one of mix or apps is required")

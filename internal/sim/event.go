@@ -200,15 +200,6 @@ func (q *EventQueue) Restore(pending []PendingEvent) {
 // Len reports the number of pending events.
 func (q *EventQueue) Len() int { return len(q.heap) }
 
-// NextAt returns the cycle of the earliest pending event and true, or 0 and
-// false when the queue is empty.
-func (q *EventQueue) NextAt() (Cycle, bool) {
-	if len(q.heap) == 0 {
-		return 0, false
-	}
-	return q.slab[q.heap[0]].When, true
-}
-
 // fire dispatches one popped event.
 func (q *EventQueue) fire(ev Event) {
 	if q.Deliver == nil {

@@ -146,14 +146,6 @@ func (r *Rng) Perm(dst []int) {
 	}
 }
 
-// Shuffle permutes the first n elements using the provided swap function.
-func (r *Rng) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Exponential returns a sample from an exponential distribution with the
 // given mean, computed via inverse CDF with a table-free log approximation.
 func (r *Rng) Exponential(mean float64) float64 {

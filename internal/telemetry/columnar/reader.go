@@ -121,9 +121,6 @@ func (d *Dir) Resolutions() []int {
 	return out
 }
 
-// Segments reports how many segment files the directory holds.
-func (d *Dir) Segments() int { return len(d.segs) }
-
 // scanSegment walks one segment's frames, handing each block header and its
 // column bytes to fn. A truncated tail (a writer mid-append) ends the scan
 // cleanly; checksum or structural failures return an error.

@@ -115,9 +115,6 @@ func (m *Memory) GaugeValue(name string) (float64, bool) {
 // CounterNames returns every counter name, sorted.
 func (m *Memory) CounterNames() []string { return sortedKeys(m.counters) }
 
-// GaugeNames returns every gauge name, sorted.
-func (m *Memory) GaugeNames() []string { return sortedKeys(m.gauges) }
-
 func sortedKeys[V any](mp map[string]V) []string {
 	out := make([]string, 0, len(mp))
 	for k := range mp {

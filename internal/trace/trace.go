@@ -272,9 +272,6 @@ func (g *PhasedGen) Next() Access {
 	return p.Gen.Next()
 }
 
-// CurrentPhase returns the index of the active phase.
-func (g *PhasedGen) CurrentPhase() int { return g.idx }
-
 // ---------------------------------------------------------------------------
 // Idle generator.
 

@@ -3,8 +3,6 @@ package delta
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -147,53 +145,16 @@ func TestScenarioValidatedAtRun(t *testing.T) {
 // an arrival and a departure (and inside a storm window), with the invariant
 // sweep on end to end.
 func TestScenarioSnapshotRestoreEquivalence(t *testing.T) {
-	for _, pol := range allPolicyKinds() {
-		// Boundary 3 lands after the arrival, before the departure; boundary
-		// 6 lands after the migration (a restore must then rebuild tile 5's
-		// generator with tile 6's seed — its structure travelled with the
-		// thread) while the spike window is open.
-		for _, boundary := range []int{3, 6} {
-			pol, boundary := pol, boundary
-			t.Run(fmt.Sprintf("%s/q%d", pol, boundary), func(t *testing.T) {
-				t.Parallel()
-				ref := newScenarioSim(t, pol)
-				if _, err := ref.RunCtx(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				want := ref.Fingerprint()
-				wantRes, _ := json.Marshal(ref.chip.Results())
-
-				a := newScenarioSim(t, pol)
-				runToBoundary(t, a, boundary)
-				snap, err := a.Snapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				data, err := snap.Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := DecodeSnapshot(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := Restore(decoded, WithCheck(true))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := b.RunCtx(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				if got := b.Fingerprint(); got != want {
-					t.Errorf("fingerprint diverged after mid-scenario restore\n got %s\nwant %s", got, want)
-				}
-				gotRes, _ := json.Marshal(b.chip.Results())
-				if !bytes.Equal(gotRes, wantRes) {
-					t.Errorf("results diverged\n got %s\nwant %s", gotRes, wantRes)
-				}
-			})
-		}
-	}
+	// Boundary 3 lands after the arrival, before the departure; boundary 6
+	// lands after the migration (a restore must then rebuild tile 5's
+	// generator with tile 6's seed — its structure travelled with the
+	// thread) while the spike window is open.
+	checkRestoreEveryPolicy(t, restoreCase{
+		mix:         "w1",
+		opts:        []Option{WithScenario(testScenario()), WithCheck(true)},
+		boundaries:  []int{3, 6},
+		checkResume: true,
+	})
 }
 
 // TestScenarioChaosFuzz: random valid scenarios against the full invariant

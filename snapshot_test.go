@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,9 +34,10 @@ func runToBoundary(t testing.TB, sim *Simulator, k int) {
 
 func newTestSim(t *testing.T, pol PolicyKind, opts ...Option) *Simulator {
 	t.Helper()
-	// Sized so the full matrix (4 policies × 2 boundaries, each a reference
-	// run plus a restored run) stays tractable under -race on a 1-CPU host;
-	// a 1000-cycle quantum still gives well over 4 boundaries per run.
+	// Sized so the restore-equivalence rows (every registered policy, each
+	// one reference run plus one restored run per boundary) stay tractable
+	// under -race on a 1-CPU host; a 1000-cycle quantum still gives well
+	// over 6 boundaries per run.
 	sim, err := New(append([]Option{
 		WithCores(16), WithPolicy(pol), WithWarmup(1000), WithBudget(16000), WithSeed(7),
 	}, opts...)...)
@@ -44,55 +47,104 @@ func newTestSim(t *testing.T, pol PolicyKind, opts ...Option) *Simulator {
 	return sim
 }
 
-// TestSnapshotRestoreEquivalence is the correctness bar of the snapshot
-// subsystem: for every policy, run-to-completion must produce bit-identical
-// state to run→snapshot→restore→run, at more than one interruption point.
-func TestSnapshotRestoreEquivalence(t *testing.T) {
-	for _, pol := range allPolicyKinds() {
-		pol := pol
-		t.Run(string(pol), func(t *testing.T) {
-			t.Parallel()
-			ref := newTestSim(t, pol)
-			ref.LoadMix("w1")
-			if _, err := ref.RunCtx(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			want := ref.Fingerprint()
-			wantRes, _ := json.Marshal(ref.chip.Results())
+// restoreCase is one row of the restore-equivalence harness: a newTestSim
+// configuration running mix, the quantum boundaries to checkpoint at, and
+// whether the resumed runs carry the invariant harness (the reference run
+// carries it when opts include WithCheck(true)).
+type restoreCase struct {
+	pol         PolicyKind
+	mix         string
+	opts        []Option
+	boundaries  []int
+	checkResume bool
+	// mayEnd tolerates a run that finishes before a boundary, which then
+	// has nothing to resume; otherwise that fails the row.
+	mayEnd bool
+}
 
-			for _, k := range []int{1, 4} {
-				a := newTestSim(t, pol)
-				a.LoadMix("w1")
-				runToBoundary(t, a, k)
-				snap, err := a.Snapshot()
-				if err != nil {
-					t.Fatalf("boundary %d: snapshot: %v", k, err)
-				}
-				data, err := snap.Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				decoded, err := DecodeSnapshot(data)
-				if err != nil {
-					t.Fatalf("boundary %d: decode: %v", k, err)
-				}
-				b, err := Restore(decoded, WithCheck(true))
-				if err != nil {
-					t.Fatalf("boundary %d: restore: %v", k, err)
-				}
-				if _, err := b.RunCtx(context.Background()); err != nil {
-					t.Fatalf("boundary %d: resumed run: %v", k, err)
-				}
-				if got := b.Fingerprint(); got != want {
-					t.Errorf("boundary %d: fingerprint diverged\n got %s\nwant %s", k, got, want)
-				}
-				gotRes, _ := json.Marshal(b.chip.Results())
-				if !bytes.Equal(gotRes, wantRes) {
-					t.Errorf("boundary %d: results diverged\n got %s\nwant %s", k, gotRes, wantRes)
-				}
+// checkRestoreEquivalence is the correctness bar of the snapshot subsystem:
+// it runs c to completion once, encoding a checkpoint at each listed quantum
+// boundary on the way, then resumes every checkpoint through DecodeSnapshot
+// → Restore → RunCtx (one subtest per boundary, named q<k>). Each resumed
+// run must reproduce the uninterrupted run bit for bit: its Fingerprint,
+// its JSON results and its FastForward setting.
+func checkRestoreEquivalence(t *testing.T, c restoreCase) {
+	t.Helper()
+	ref := newTestSim(t, c.pol, c.opts...)
+	ref.LoadMix(c.mix)
+	captures := map[int][]byte{}
+	n := 0
+	ref.chip.SetCheckpoint(1, func(uint64) {
+		n++
+		if !slices.Contains(c.boundaries, n) {
+			return
+		}
+		snap, err := ref.Snapshot()
+		if err != nil {
+			t.Fatalf("boundary %d: snapshot: %v", n, err)
+		}
+		if captures[n], err = snap.Encode(); err != nil {
+			t.Fatalf("boundary %d: encode: %v", n, err)
+		}
+	})
+	if _, err := ref.RunCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Fingerprint()
+	wantRes, _ := json.Marshal(ref.chip.Results())
+
+	for _, k := range c.boundaries {
+		data, ok := captures[k]
+		if !ok {
+			if c.mayEnd {
+				continue
+			}
+			t.Fatalf("run finished before boundary %d; shrink the budget", k)
+		}
+		t.Run(fmt.Sprintf("q%d", k), func(t *testing.T) {
+			decoded, err := DecodeSnapshot(data)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			b, err := Restore(decoded, WithCheck(c.checkResume))
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if b.cfg.FastForward != ref.cfg.FastForward {
+				t.Fatal("FastForward flag lost across encode/decode")
+			}
+			if _, err := b.RunCtx(context.Background()); err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			if got := b.Fingerprint(); got != want {
+				t.Errorf("fingerprint diverged\n got %s\nwant %s", got, want)
+			}
+			gotRes, _ := json.Marshal(b.chip.Results())
+			if !bytes.Equal(gotRes, wantRes) {
+				t.Errorf("results diverged\n got %s\nwant %s", gotRes, wantRes)
 			}
 		})
 	}
+}
+
+// checkRestoreEveryPolicy runs row under every registered policy, one
+// parallel subtest per policy.
+func checkRestoreEveryPolicy(t *testing.T, row restoreCase) {
+	for _, pol := range allPolicyKinds() {
+		t.Run(string(pol), func(t *testing.T) {
+			t.Parallel()
+			c := row
+			c.pol = pol
+			checkRestoreEquivalence(t, c)
+		})
+	}
+}
+
+// TestSnapshotRestoreEquivalence: for every policy on a static mix,
+// run-to-completion equals run→snapshot→restore→run bit-identically at more
+// than one interruption point, with the restored run checked.
+func TestSnapshotRestoreEquivalence(t *testing.T) {
+	checkRestoreEveryPolicy(t, restoreCase{mix: "w1", boundaries: []int{1, 4}, checkResume: true})
 }
 
 // TestSnapshotEncodeDeterministic: the same state must always serialize to
@@ -332,55 +384,12 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add(uint8(0), uint8(2), uint8(42))
 	f.Fuzz(func(t *testing.T, polByte, boundary, seed uint8) {
 		pols := allPolicyKinds()
-		pol := pols[int(polByte)%len(pols)]
-		k := 1 + int(boundary)%4
-		build := func() *Simulator {
-			sim, err := New(WithCores(16), WithPolicy(pol), WithWarmup(1000),
-				WithBudget(20000), WithSeed(uint64(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim.LoadMix("w3")
-			return sim
-		}
-		ref := build()
-		if _, err := ref.RunCtx(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		a := build()
-		ctx, cancel := context.WithCancel(context.Background())
-		n := 0
-		a.chip.SetCheckpoint(1, func(uint64) {
-			n++
-			if n == k {
-				cancel()
-			}
+		checkRestoreEquivalence(t, restoreCase{
+			pol:        pols[int(polByte)%len(pols)],
+			mix:        "w3",
+			opts:       []Option{WithBudget(20000), WithSeed(uint64(seed))},
+			boundaries: []int{1 + int(boundary)%4},
+			mayEnd:     true,
 		})
-		if _, err := a.RunCtx(ctx); err == nil {
-			return // budget crossed before the fuzzed boundary: nothing to resume
-		}
-		snap, err := a.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := snap.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Restore(decoded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := b.RunCtx(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := b.Fingerprint(), ref.Fingerprint(); got != want {
-			t.Fatalf("policy %s boundary %d seed %d: fingerprint diverged\n got %s\nwant %s",
-				pol, k, seed, got, want)
-		}
 	})
 }
