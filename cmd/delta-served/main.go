@@ -51,7 +51,6 @@ func main() {
 	jsonl := flag.String("jsonl", "", "append every simulation's telemetry to this JSONL file (flushed on shutdown)")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist suspended jobs' simulation snapshots here; enables :suspend, resume-on-resubmit, and checkpoint-instead-of-discard drains")
 	resultDir := flag.String("result-dir", "", "persist completed results to a content-addressed store here; resubmissions dedupe against it across restarts")
-	snapshotEvery := flag.Int("snapshot-every", 0, "auto-checkpoint each running simulation in memory every N quantum boundaries (0 = off)")
 	telemetryDir := flag.String("telemetry-dir", "", "stream each job's samples into columnar segments under this directory (one subdirectory per job) and serve range queries at /v1/simulations/{id}/telemetry")
 	telemetryRetain := flag.Int64("telemetry-retain-bytes", 0, "per-job cap on columnar segment bytes; oldest segments deleted first (0 = unlimited)")
 	showVersion := flag.Bool("version", false, "print the build version and exit")
@@ -80,7 +79,6 @@ func main() {
 		JobTimeout:    *jobTimeout,
 		CheckpointDir: *checkpointDir,
 		ResultDir:     *resultDir,
-		SnapshotEvery: *snapshotEvery,
 		Version:       version.String(),
 		Sink:          sink,
 		Logf:          log.Printf,

@@ -117,7 +117,7 @@ type Config struct {
 	// §12 for the DSL.
 	Scenario *Scenario
 	// PolicyParams carries per-policy parameter overrides, keyed by policy
-	// name, as JSON unmarshaled onto the policy's scale-resolved defaults.
+	// name, as JSON decoded onto the policy's scale-resolved defaults.
 	// Set entries with WithPolicyParams, which marshals deterministically
 	// (the raw bytes are part of CanonicalJSON, so semantically equal but
 	// differently formatted JSON yields different content addresses). Only

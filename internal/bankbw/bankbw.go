@@ -16,25 +16,26 @@ import (
 	"delta/internal/sim"
 )
 
-// Config tunes the regulator.
+// Config tunes the regulator. DefaultConfig sets every knob; Validate is
+// its range check.
 type Config struct {
-	// WindowQuanta is the regulation window length in scheduling quanta
-	// (0 defaults to 4).
+	// WindowQuanta is the regulation window length in scheduling quanta.
 	WindowQuanta int
 	// HeadroomPct marks a bank hot when its window accesses exceed this
-	// percentage of the per-bank mean (0 defaults to 150).
+	// percentage of the per-bank mean; at least 100.
 	HeadroomPct int
 	// ThrottlePct is the access-rate limit applied to an offending core,
-	// in percent of its native rate (0 defaults to 50).
+	// in percent of its native rate, in [1, 100].
 	ThrottlePct int
 	// MinAccesses exempts banks with fewer window accesses than this from
-	// regulation, so idle-phase noise never throttles anyone (0 defaults
-	// to 64).
+	// regulation, so idle-phase noise never throttles anyone.
 	MinAccesses uint64
 }
 
 // DefaultConfig returns the default regulation parameters.
-func DefaultConfig() Config { return Config{} }
+func DefaultConfig() Config {
+	return Config{WindowQuanta: 4, HeadroomPct: 150, ThrottlePct: 50, MinAccesses: 64}
+}
 
 // Stats counts the regulator's activity. The json tags are its snapshot
 // form.
@@ -59,22 +60,23 @@ type Policy struct {
 	Stats Stats
 }
 
-// Validate reports a configuration New would reject; zero-valued knobs
-// take their defaults and are valid.
+// Validate reports out-of-range knobs.
 func (cfg Config) Validate() error {
 	switch {
-	case cfg.WindowQuanta < 0:
+	case cfg.WindowQuanta < 1:
 		return errors.New("bankbw: WindowQuanta must be positive")
-	case cfg.HeadroomPct != 0 && cfg.HeadroomPct < 100:
+	case cfg.HeadroomPct < 100:
 		return errors.New("bankbw: HeadroomPct below 100 throttles under-average banks")
-	case cfg.ThrottlePct < 0 || cfg.ThrottlePct > 100:
+	case cfg.ThrottlePct < 1 || cfg.ThrottlePct > 100:
 		return errors.New("bankbw: ThrottlePct out of [1,100]")
+	case cfg.MinAccesses < 1:
+		return errors.New("bankbw: MinAccesses must be positive")
 	}
 	return nil
 }
 
-// New wraps base with the regulator, panicking on a configuration Validate
-// rejects. The base must not itself be a regulator: stacking windows would
+// New wraps base with the regulator; cfg must pass Validate. It panics on
+// a nil base or one that is itself a regulator: stacking windows would
 // fight over the same throttle.
 func New(base chip.Policy, cfg Config) *Policy {
 	if base == nil {
@@ -82,21 +84,6 @@ func New(base chip.Policy, cfg Config) *Policy {
 	}
 	if _, ok := base.(*Policy); ok {
 		panic("bankbw: cannot wrap another bankbw regulator")
-	}
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	if cfg.WindowQuanta == 0 {
-		cfg.WindowQuanta = 4
-	}
-	if cfg.HeadroomPct == 0 {
-		cfg.HeadroomPct = 150
-	}
-	if cfg.ThrottlePct == 0 {
-		cfg.ThrottlePct = 50
-	}
-	if cfg.MinAccesses == 0 {
-		cfg.MinAccesses = 64
 	}
 	return &Policy{base: base, cfg: cfg}
 }
@@ -213,7 +200,7 @@ func (p *Policy) overShare(core int) bool {
 	return false
 }
 
-// Config returns the regulator's resolved configuration.
+// Config returns the regulator's configuration.
 func (p *Policy) Config() Config { return p.cfg }
 
 // Throttle returns core's current throttle percentage (100 = unthrottled).

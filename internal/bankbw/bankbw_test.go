@@ -145,13 +145,12 @@ func TestBankBWMembershipClearsState(t *testing.T) {
 	}
 }
 
+// TestBankBWValidationPanics: wrapping nothing, or another regulator, is a
+// programming error New panics on.
 func TestBankBWValidationPanics(t *testing.T) {
 	cases := []func(){
 		func() { New(nil, DefaultConfig()) },
 		func() { New(regulatorForTest(), DefaultConfig()) }, // no stacking
-		func() { New(chip.NewSnuca(), Config{HeadroomPct: 50}) },
-		func() { New(chip.NewSnuca(), Config{ThrottlePct: 101}) },
-		func() { New(chip.NewSnuca(), Config{WindowQuanta: -1}) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -162,5 +161,27 @@ func TestBankBWValidationPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestBankBWValidate: the defaults are valid, and every knob out of range
+// — an explicit 0 included — is an error.
+func TestBankBWValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("defaults: %v", err)
+	}
+	for i, mut := range []func(*Config){
+		func(c *Config) { c.WindowQuanta = 0 },
+		func(c *Config) { c.WindowQuanta = -1 },
+		func(c *Config) { c.HeadroomPct = 50 },
+		func(c *Config) { c.ThrottlePct = 0 },
+		func(c *Config) { c.ThrottlePct = 101 },
+		func(c *Config) { c.MinAccesses = 0 },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("case %d: %+v accepted", i, cfg)
+		}
 	}
 }

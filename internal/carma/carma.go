@@ -24,29 +24,35 @@ import (
 	"delta/internal/umon"
 )
 
-// Config tunes the market.
+// Config tunes the market. DefaultConfig sets every knob; Validate and
+// ValidateWays are its range checks.
 type Config struct {
 	// Interval between auction epochs, in cycles.
 	Interval uint64
-	// LotWays is the lot size in ways; the associativity must divide evenly
-	// (0 defaults to 4).
+	// LotWays is the lot size in ways; the associativity must divide evenly.
 	LotWays int
 	// ReserveLots lots per bank stay with the bank's home core and are
-	// never auctioned (0 defaults to 1).
+	// never auctioned; at least one.
 	ReserveLots int
-	// MaxBudget caps a core's credits (0 defaults to 100).
+	// MaxBudget caps a core's credits.
 	MaxBudget float64
-	// Regen credits are added to every occupied core's budget each epoch
-	// (0 defaults to 25).
+	// Regen credits are added to every occupied core's budget each epoch.
 	Regen float64
 	// BidScale converts a normalized miss delta (misses per access) into
-	// credits (0 defaults to 100).
+	// credits.
 	BidScale float64
 }
 
 // DefaultConfig mirrors the paper's epoch cadence (1 ms at 4 GHz).
 func DefaultConfig() Config {
-	return Config{Interval: 4_000_000}
+	return Config{
+		Interval:    4_000_000,
+		LotWays:     4,
+		ReserveLots: 1,
+		MaxBudget:   100,
+		Regen:       25,
+		BidScale:    100,
+	}
 }
 
 // Stats counts the market's activity.
@@ -75,27 +81,31 @@ type Policy struct {
 	Stats Stats
 }
 
-// Validate reports a configuration New would reject; zero-valued optional
-// knobs take their defaults and are valid. Whether the lots fit the LLC
+// Validate reports out-of-range knobs. Whether the lots fit the LLC
 // depends on the chip: ValidateWays checks that once the associativity is
 // known, and Attach panics on a chip it rejects.
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.Interval == 0:
 		return errors.New("carma: zero auction interval")
-	case cfg.LotWays < 0:
+	case cfg.LotWays < 1:
 		return errors.New("carma: LotWays must be positive")
-	case cfg.ReserveLots < 0:
-		return errors.New("carma: ReserveLots must be non-negative")
+	case cfg.ReserveLots < 1:
+		return errors.New("carma: ReserveLots must be positive")
+	case !(cfg.MaxBudget > 0):
+		return errors.New("carma: MaxBudget must be positive")
+	case !(cfg.Regen > 0):
+		return errors.New("carma: Regen must be positive")
+	case !(cfg.BidScale > 0):
+		return errors.New("carma: BidScale must be positive")
 	}
 	return nil
 }
 
-// ValidateWays reports whether the lot geometry fits banks of the given
-// associativity: LotWays must divide it, and ReserveLots must leave at
-// least one lot per bank to auction.
+// ValidateWays reports whether the lot geometry of a configuration Validate
+// accepts fits banks of the given associativity: LotWays must divide it,
+// and ReserveLots must leave at least one lot per bank to auction.
 func (cfg Config) ValidateWays(ways int) error {
-	cfg = cfg.withDefaults()
 	if ways%cfg.LotWays != 0 {
 		return fmt.Errorf("carma: %d ways not divisible into lots of %d", ways, cfg.LotWays)
 	}
@@ -105,32 +115,9 @@ func (cfg Config) ValidateWays(ways int) error {
 	return nil
 }
 
-// withDefaults fills the zero-valued optional knobs.
-func (cfg Config) withDefaults() Config {
-	if cfg.LotWays == 0 {
-		cfg.LotWays = 4
-	}
-	if cfg.ReserveLots == 0 {
-		cfg.ReserveLots = 1
-	}
-	if cfg.MaxBudget == 0 {
-		cfg.MaxBudget = 100
-	}
-	if cfg.Regen == 0 {
-		cfg.Regen = 25
-	}
-	if cfg.BidScale == 0 {
-		cfg.BidScale = 100
-	}
-	return cfg
-}
-
-// New builds the policy, panicking on a configuration Validate rejects.
+// New builds the policy; cfg must pass Validate.
 func New(cfg Config) *Policy {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	return &Policy{cfg: cfg.withDefaults()}
+	return &Policy{cfg: cfg}
 }
 
 // Name implements chip.Policy.
@@ -274,7 +261,7 @@ func (p *Policy) rebuildTable(core int) {
 	p.Stats.InvalLines += uint64(p.Remap(core, next))
 }
 
-// Config returns the policy's resolved configuration.
+// Config returns the policy's configuration.
 func (p *Policy) Config() Config { return p.cfg }
 
 // Budget returns core's current credit balance.

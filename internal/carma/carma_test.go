@@ -165,18 +165,22 @@ func TestCarmaCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCarmaValidationPanics: attaching to a chip whose banks the lot
+// geometry does not fit panics (policies.Build reports the same as an
+// error before any chip exists).
 func TestCarmaValidationPanics(t *testing.T) {
 	cases := []func(){
-		func() { New(Config{Interval: 0}) },
 		func() {
 			// 16 ways do not divide into lots of 5.
-			p := New(Config{Interval: 1000, LotWays: 5})
-			chip.New(chip.DefaultConfig(16), p)
+			cfg := DefaultConfig()
+			cfg.LotWays = 5
+			chip.New(chip.DefaultConfig(16), New(cfg))
 		},
 		func() {
 			// Reserving every lot leaves nothing to auction.
-			p := New(Config{Interval: 1000, LotWays: 4, ReserveLots: 4})
-			chip.New(chip.DefaultConfig(16), p)
+			cfg := DefaultConfig()
+			cfg.ReserveLots = 4
+			chip.New(chip.DefaultConfig(16), New(cfg))
 		},
 	}
 	for i, fn := range cases {
@@ -191,20 +195,48 @@ func TestCarmaValidationPanics(t *testing.T) {
 	}
 }
 
+// TestValidate: the defaults are valid, and every knob out of range — an
+// explicit 0 included — is an error.
+func TestValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("defaults: %v", err)
+	}
+	for i, mut := range []func(*Config){
+		func(c *Config) { c.Interval = 0 },
+		func(c *Config) { c.LotWays = 0 },
+		func(c *Config) { c.LotWays = -1 },
+		func(c *Config) { c.ReserveLots = 0 },
+		func(c *Config) { c.MaxBudget = -5 },
+		func(c *Config) { c.Regen = 0 },
+		func(c *Config) { c.BidScale = 0 },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("case %d: %+v accepted", i, cfg)
+		}
+	}
+}
+
 func TestValidateWays(t *testing.T) {
+	with := func(lotWays, reserve int) Config {
+		cfg := DefaultConfig()
+		cfg.LotWays, cfg.ReserveLots = lotWays, reserve
+		return cfg
+	}
 	for _, tc := range []struct {
 		cfg  Config
 		ways int
 		ok   bool
 	}{
-		{Config{Interval: 1}, 16, true}, // defaults: 4-way lots, one reserved
-		{Config{Interval: 1, LotWays: 5}, 16, false},
-		{Config{Interval: 1, LotWays: 3}, 16, false},
-		{Config{Interval: 1, ReserveLots: 4}, 16, false},
-		{Config{Interval: 1, ReserveLots: 3}, 16, true},
-		{Config{Interval: 1, LotWays: 8, ReserveLots: 2}, 16, false},
-		{Config{Interval: 1, LotWays: 8}, 16, true},
-		{Config{Interval: 1, LotWays: 4}, 4, false}, // a single lot is all reserve
+		{DefaultConfig(), 16, true}, // 4-way lots, one reserved
+		{with(5, 1), 16, false},
+		{with(3, 1), 16, false},
+		{with(4, 4), 16, false},
+		{with(4, 3), 16, true},
+		{with(8, 2), 16, false},
+		{with(8, 1), 16, true},
+		{with(4, 1), 4, false}, // a single lot is all reserve
 	} {
 		if err := tc.cfg.ValidateWays(tc.ways); (err == nil) != tc.ok {
 			t.Errorf("%+v on %d ways: err = %v, want ok=%v", tc.cfg, tc.ways, err, tc.ok)

@@ -33,12 +33,6 @@ func ExtractBucket(lineAddr uint64, setBits int) int {
 	return int(bits.Reverse8(raw))
 }
 
-// ExtractBucketNoReverse returns the bucket without the bit reversal; it
-// exists for the ablation study quantifying what the reversal buys.
-func ExtractBucketNoReverse(lineAddr uint64, setBits int) int {
-	return int(uint8(lineAddr >> uint(setBits)))
-}
-
 // Share is one bank's portion of a core's allocation, in ways.
 type Share struct {
 	Bank int

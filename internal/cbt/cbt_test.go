@@ -13,9 +13,6 @@ func TestExtractBucketReversal(t *testing.T) {
 	if got := ExtractBucket(1<<9, 9); got != 0x80 {
 		t.Fatalf("bucket = %#x, want 0x80", got)
 	}
-	if got := ExtractBucketNoReverse(1<<9, 9); got != 1 {
-		t.Fatalf("no-reverse bucket = %d, want 1", got)
-	}
 	// Set-index bits must not influence the bucket.
 	if ExtractBucket(0x1ff, 9) != ExtractBucket(0, 9) {
 		t.Fatal("set bits leaked into bucket")

@@ -307,8 +307,6 @@ func TestValidationPanics(t *testing.T) {
 		func() { Lookahead([]MissCurve{{1}}, 16, 1, 16) },
 		func() { Lookahead([]MissCurve{{2, 1}}, 0, 1, 16) },
 		func() { Lookahead([]MissCurve{{2, 1}, {2, 1}}, 1, 1, 16) }, // budget < min
-		func() { NewIdeal(IdealConfig{Interval: 0, MinWays: 4}) },
-		func() { NewIdeal(IdealConfig{Interval: 100, MinWays: 0}) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -319,6 +317,38 @@ func TestValidationPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestIdealConfigValidate: the defaults are valid, and every knob out of
+// range — an explicit 0 included, except MaxWays, where 0 is the chip's
+// UMON limit — is an error.
+func TestIdealConfigValidate(t *testing.T) {
+	if err := DefaultIdealConfig().Validate(); err != nil {
+		t.Fatalf("defaults: %v", err)
+	}
+	if err := DefaultIdealConfig().ValidateWays(16); err != nil {
+		t.Fatalf("defaults on 16 ways: %v", err)
+	}
+	for i, mut := range []func(*IdealConfig){
+		func(c *IdealConfig) { c.Interval = 0 },
+		func(c *IdealConfig) { c.MinWays = 0 },
+		func(c *IdealConfig) { c.MaxWays = -4 },
+		func(c *IdealConfig) { c.MaxWays = 2 }, // below MinWays
+		func(c *IdealConfig) { c.Smoothing = 0 },
+		func(c *IdealConfig) { c.MinChange = 0 },
+		func(c *IdealConfig) { c.BenefitGate = 0 },
+	} {
+		cfg := DefaultIdealConfig()
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("case %d: %+v accepted", i, cfg)
+		}
+	}
+	cfg := DefaultIdealConfig()
+	cfg.MinWays = 17
+	if err := cfg.ValidateWays(16); err == nil {
+		t.Error("MinWays 17 accepted on 16-way banks")
 	}
 }
 

@@ -94,41 +94,46 @@ func Place(alloc Alloc, topo *geom.Mesh, waysPerBank int) Placement {
 	return Placement{Assign: assign}
 }
 
-// IdealConfig tunes the ideal centralized policy.
+// IdealConfig tunes the ideal centralized policy. DefaultIdealConfig sets
+// every knob; Validate and ValidateWays are its range checks.
 type IdealConfig struct {
 	// Interval between reallocation epochs, in cycles (the paper studies
 	// 1 ms and 100 ms).
 	Interval uint64
 	// MinWays is the per-app floor (inclusion reserve), as in DELTA.
 	MinWays int
-	// MaxWays caps one app (0 = the chip's UMON limit).
+	// MaxWays caps one app; 0 means the chip's UMON limit.
 	MaxWays int
-	// UsePeekahead switches the allocator (identical allocations, used to
-	// validate and to time both).
-	UsePeekahead bool
 	// LocalityAware disables nearest-first placement when false (ablation:
 	// capacity is then placed round-robin irrespective of distance).
 	LocalityAware bool
 	// Smoothing blends each epoch's miss curve into an exponential moving
-	// average (weight of the new sample). Time-compressed runs have short,
-	// noisy UMON windows; smoothing restores the stability the paper's
-	// 1 ms windows have naturally. 0 defaults to 0.3; 1 disables smoothing.
+	// average (weight of the new sample), in (0, 1]; 1 disables smoothing.
+	// Time-compressed runs have short, noisy UMON windows; smoothing
+	// restores the stability the paper's 1 ms windows have naturally.
 	Smoothing float64
 	// MinChange suppresses a chip-wide remap unless some application's
-	// allocation moved by at least this many ways (0 defaults to 2).
+	// allocation moved by at least this many ways.
 	MinChange int
 	// BenefitGate suppresses a remap unless the new allocation's predicted
-	// chip-wide miss count improves on the current one by this fraction
-	// (0 defaults to 0.05). Without it, ties between symmetric applications
-	// rotate winners epoch after epoch, and each rotation is a chip-wide
-	// remap — pure invalidation churn with zero predicted benefit.
+	// chip-wide miss count improves on the current one by this fraction,
+	// in (0, 1]. Without it, ties between symmetric applications rotate
+	// winners epoch after epoch, and each rotation is a chip-wide remap —
+	// pure invalidation churn with zero predicted benefit.
 	BenefitGate float64
 }
 
 // DefaultIdealConfig mirrors the paper's ideal centralized scheme at the
 // 1 ms interval (4 M cycles at 4 GHz).
 func DefaultIdealConfig() IdealConfig {
-	return IdealConfig{Interval: 4_000_000, MinWays: 4, LocalityAware: true}
+	return IdealConfig{
+		Interval:      4_000_000,
+		MinWays:       4,
+		LocalityAware: true,
+		Smoothing:     0.3,
+		MinChange:     2,
+		BenefitGate:   0.05,
+	}
 }
 
 // IdealStats counts the policy's activity. The json tags are its snapshot
@@ -173,35 +178,40 @@ type allocStat struct {
 	count uint64
 }
 
-// Validate reports a configuration NewIdeal would reject; zero-valued
-// optional knobs take their defaults and are valid.
+// Validate reports out-of-range knobs.
 func (cfg IdealConfig) Validate() error {
 	switch {
 	case cfg.Interval == 0:
 		return errors.New("central: zero reallocation interval")
 	case cfg.MinWays < 1:
 		return errors.New("central: MinWays must be positive")
-	case cfg.Smoothing < 0 || cfg.Smoothing > 1:
+	case cfg.MaxWays < 0:
+		return errors.New("central: negative MaxWays")
+	case cfg.MaxWays != 0 && cfg.MaxWays < cfg.MinWays:
+		return errors.New("central: MaxWays below MinWays")
+	case !(cfg.Smoothing > 0 && cfg.Smoothing <= 1):
 		return errors.New("central: Smoothing out of (0,1]")
+	case cfg.MinChange < 1:
+		return errors.New("central: MinChange must be positive")
+	case !(cfg.BenefitGate > 0 && cfg.BenefitGate <= 1):
+		return errors.New("central: BenefitGate out of (0,1]")
 	}
 	return nil
 }
 
-// NewIdeal builds the policy, panicking on a configuration Validate
-// rejects.
+// ValidateWays reports whether the per-app floor fits banks of the given
+// associativity: every app's MinWays must fit its home bank's share of the
+// chip-wide budget.
+func (cfg IdealConfig) ValidateWays(ways int) error {
+	if cfg.MinWays > ways {
+		return fmt.Errorf("central: MinWays %d exceeds the %d ways of a bank", cfg.MinWays, ways)
+	}
+	return nil
+}
+
+// NewIdeal builds the policy; cfg must pass Validate and ValidateWays for
+// the chip it attaches to.
 func NewIdeal(cfg IdealConfig) *Ideal {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	if cfg.Smoothing == 0 {
-		cfg.Smoothing = 0.3
-	}
-	if cfg.MinChange == 0 {
-		cfg.MinChange = 2
-	}
-	if cfg.BenefitGate == 0 {
-		cfg.BenefitGate = 0.05
-	}
 	return &Ideal{cfg: cfg, rec: telemetry.Nop{}}
 }
 
@@ -220,6 +230,8 @@ func (p *Ideal) Attach(c *chip.Chip) {
 	if p.cfg.MaxWays == 0 {
 		p.cfg.MaxWays = c.Monitor(0).MaxWays()
 	}
+	// No app can hold more than the chip: a larger cap allocates the same.
+	p.cfg.MaxWays = min(p.cfg.MaxWays, p.n*p.w)
 	p.tick = sim.NewTicker(p.cfg.Interval, p.cfg.Interval)
 	p.alloc = make(Alloc, p.n)
 	p.assign = make([][]int, p.n)
@@ -261,13 +273,8 @@ func (p *Ideal) Tick(now uint64) {
 		p.c.CoreInterval(i) // keep interval windows rolling
 	}
 	total := p.n * p.w
-	var next Alloc
 	allocStart := time.Now()
-	if p.cfg.UsePeekahead {
-		next = Peekahead(curves, total, p.cfg.MinWays, p.cfg.MaxWays)
-	} else {
-		next = Lookahead(curves, total, p.cfg.MinWays, p.cfg.MaxWays)
-	}
+	next := Lookahead(curves, total, p.cfg.MinWays, p.cfg.MaxWays)
 	p.rec.Count("central.allocs", 1)
 	maxDelta := 0
 	for i := range next {

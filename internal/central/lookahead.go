@@ -5,7 +5,10 @@
 //     MICRO 2006), worst-case O(N·W²) per invocation.
 //   - Peekahead — the convex-hull reformulation (Beckmann & Sanchez's
 //     "Jigsaw"/PEEKahead lineage) that walks only the miss curves' convex
-//     hulls, O(N·W) in the common case, computing identical allocations.
+//     hulls, O(N·W) in the common case. Its allocations reach nearly the
+//     same total misses as Lookahead's but are not identical: ties between
+//     equal marginal rates break differently, which is why Ideal keeps
+//     Lookahead.
 //   - Ideal — a chip.Policy that recomputes Lookahead allocations plus
 //     locality-aware placement every interval with *zero* computational
 //     cost, the paper's upper bound for centralized schemes (Section
@@ -93,9 +96,11 @@ func Lookahead(curves []MissCurve, total, minWays, maxWays int) Alloc {
 	return alloc
 }
 
-// Peekahead computes the same allocation by walking each curve's lower
-// convex hull: hull segment slopes are exactly the lookahead-optimal
-// marginal rates, so a single pass over segments in slope order suffices.
+// Peekahead approximates Lookahead's allocation by walking each curve's
+// lower convex hull: hull segment slopes are the lookahead-optimal marginal
+// rates, so a single pass over segments in slope order suffices. Ties break
+// differently, so the two may split ways differently at near-equal total
+// misses.
 func Peekahead(curves []MissCurve, total, minWays, maxWays int) Alloc {
 	n := len(curves)
 	validate(curves, total, minWays, maxWays)

@@ -83,12 +83,9 @@ type Delta struct {
 	rec telemetry.Recorder
 }
 
-// New builds a DELTA policy with the given parameters, panicking on
-// parameters Validate rejects.
+// New builds a DELTA policy; p must pass Validate and ValidateWays for the
+// chip it attaches to.
 func New(p Params) *Delta {
-	if err := p.Validate(); err != nil {
-		panic(err.Error())
-	}
 	return &Delta{p: p, rec: telemetry.Nop{}}
 }
 

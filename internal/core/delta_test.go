@@ -262,21 +262,38 @@ func TestAllocationCapRespected(t *testing.T) {
 	}
 }
 
+// TestParamsValidation: the defaults are valid, and out-of-range knobs or
+// way quantities that do not fit a bank are errors.
 func TestParamsValidation(t *testing.T) {
-	bad := []Params{
-		{},
-		func() Params { p := DefaultParams(); p.MinWays = 0; return p }(),
-		func() Params { p := DefaultParams(); p.GainWays = 0; return p }(),
+	if err := DefaultParams().Validate(); err != nil {
+		t.Fatalf("defaults: %v", err)
 	}
-	for i, p := range bad {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: expected panic", i)
-				}
-			}()
-			New(p)
-		}()
+	if err := DefaultParams().ValidateWays(16); err != nil {
+		t.Fatalf("defaults on 16 ways: %v", err)
+	}
+	for i, mut := range []func(*Params){
+		func(p *Params) { *p = Params{} },
+		func(p *Params) { p.MinWays = 0 },
+		func(p *Params) { p.GainWays = 0 },
+		func(p *Params) { p.MaxTotalWays = -1 },
+		func(p *Params) { p.Smoothing = 0 },
+	} {
+		p := DefaultParams()
+		mut(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("case %d: %+v accepted", i, p)
+		}
+	}
+	for i, mut := range []func(*Params){
+		func(p *Params) { p.MinWays = 17 },
+		func(p *Params) { p.InterDeltaWays = 17 },
+		func(p *Params) { p.MaxTotalWays = 8 },
+	} {
+		p := DefaultParams()
+		mut(&p)
+		if err := p.ValidateWays(16); err == nil {
+			t.Errorf("geometry case %d: %+v accepted on 16 ways", i, p)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ type Params struct {
 	PainWays       int     // capacity delta the pain is evaluated at
 
 	// MaxTotalWays caps one application's allocation (the paper's 6 MB /
-	// 24 MB limits); 0 means "use the chip's UMON limit".
+	// 24 MB limits); 0 means the chip's UMON limit.
 	MaxTotalWays int
 
 	// DistancePenalty applies the (l+1) hop-distance divisor of Equation 1.
@@ -131,7 +131,7 @@ func (p Params) Scale(f uint64) Params {
 	return p
 }
 
-// Validate reports inconsistent parameters.
+// Validate reports out-of-range or inconsistent parameters.
 func (p Params) Validate() error {
 	switch {
 	case p.InterInterval == 0 || p.IntraInterval == 0:
@@ -142,16 +142,34 @@ func (p Params) Validate() error {
 		return errors.New("core: way deltas must be positive")
 	case p.GainWays < 1 || p.PainWays < 1:
 		return errors.New("core: gain/pain windows must be positive")
-	case p.GainThreshold < 0:
+	case p.MaxTotalWays < 0:
+		return errors.New("core: negative MaxTotalWays")
+	case !(p.GainThreshold >= 0):
 		return errors.New("core: negative gain threshold")
-	case p.Smoothing <= 0 || p.Smoothing > 1:
+	case !(p.Smoothing > 0 && p.Smoothing <= 1):
 		return errors.New("core: Smoothing out of (0,1]")
-	case p.IntraMargin < 1:
+	case !(p.IntraMargin >= 1):
 		return errors.New("core: IntraMargin below 1")
-	case p.ChallengeMargin < 1:
+	case !(p.ChallengeMargin >= 1):
 		return errors.New("core: ChallengeMargin below 1")
 	case p.ResidencyIntraEpochs < 0 || p.RetreatCooldownEpochs < 0:
 		return errors.New("core: negative hysteresis epochs")
+	}
+	return nil
+}
+
+// ValidateWays reports whether the way quantities fit banks of the given
+// associativity: the home reserve and both way deltas must fit one bank,
+// and a cap must leave every core its initial whole home bank.
+func (p Params) ValidateWays(ways int) error {
+	switch {
+	case p.MinWays > ways:
+		return fmt.Errorf("core: MinWays %d exceeds the %d ways of a bank", p.MinWays, ways)
+	case p.InterDeltaWays > ways || p.IntraDeltaWays > ways:
+		return fmt.Errorf("core: way deltas %d/%d exceed the %d ways of a bank",
+			p.InterDeltaWays, p.IntraDeltaWays, ways)
+	case p.MaxTotalWays != 0 && p.MaxTotalWays < ways:
+		return fmt.Errorf("core: MaxTotalWays %d below the %d ways of the home bank", p.MaxTotalWays, ways)
 	}
 	return nil
 }

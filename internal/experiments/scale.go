@@ -10,6 +10,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"delta/internal/bankbw"
@@ -87,22 +88,25 @@ func (s Scale) For64() Scale {
 var PaperPolicies = []string{"snuca", "private", "delta", "ideal"}
 
 // NewPolicy constructs a policy by name at this scale through the registry.
-// The special name "ideal-slow" is the 100 ms-equivalent centralized
-// configuration used by the Fig. 13 frequency study.
+// The special name "ideal-slow" is the ideal policy at the 100 ms-equivalent
+// interval the Fig. 13 frequency study compares against.
 func (s Scale) NewPolicy(name string) chip.Policy {
-	if name == "ideal-slow" {
-		cfg := central.DefaultIdealConfig()
-		cfg.Interval = cfg.Interval * 100 / intervalScale // 100 ms equivalent
-		return central.NewIdeal(cfg)
-	}
 	// Bank associativity is Table II's at every core count.
-	p, err := policies.Build(name, policies.BuildContext{
-		IntervalScale: intervalScale, LLCWays: s.ChipConfig(1).LLCWays})
+	ctx := policies.BuildContext{IntervalScale: intervalScale, LLCWays: s.ChipConfig(1).LLCWays}
+	if name == "ideal-slow" {
+		name, ctx.Params = "ideal", idealSlowParams
+	}
+	p, err := policies.Build(name, ctx)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	return p
 }
+
+// idealSlowParams sets the ideal policy's interval to 100 times the paper's
+// 1 ms at this package's interval scale.
+var idealSlowParams = json.RawMessage(fmt.Sprintf(`{"Interval": %d}`,
+	central.DefaultIdealConfig().Interval*100/intervalScale))
 
 // ChipConfig builds the chip configuration for the core count at this scale.
 func (s Scale) ChipConfig(cores int) chip.Config {

@@ -20,7 +20,6 @@ package invariant
 
 import (
 	"fmt"
-	"math/bits"
 
 	"delta/internal/cache"
 	"delta/internal/cbt"
@@ -171,6 +170,3 @@ func (m *Monotone) Check(name string, v uint64) error {
 	m.prev[name] = v
 	return nil
 }
-
-// PopCount is a small helper for mask/allocation cross-checks.
-func PopCount(m uint64) int { return bits.OnesCount64(m) }

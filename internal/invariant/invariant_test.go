@@ -164,9 +164,3 @@ func TestMonotoneCatchesBackwardsCounter(t *testing.T) {
 		t.Fatalf("independent counter rejected: %v", err)
 	}
 }
-
-func TestPopCount(t *testing.T) {
-	if PopCount(0xf0f0) != 8 {
-		t.Fatal("popcount")
-	}
-}

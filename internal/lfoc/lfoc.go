@@ -39,35 +39,43 @@ const (
 	ClassSensitive
 )
 
-// Config tunes the clustering policy.
+// Config tunes the clustering policy. DefaultConfig sets every knob;
+// Validate and ValidateWays are its range checks.
 type Config struct {
 	// Interval between reclassification epochs, in cycles.
 	Interval uint64
 	// Smoothing blends each epoch's miss curve into an exponential moving
-	// average (weight of the new sample). 0 defaults to 0.3.
+	// average (weight of the new sample), in (0, 1]; 1 disables smoothing.
 	Smoothing float64
-	// MaxClusters bounds the cluster count including the shared cluster
-	// (0 defaults to 8). At most MaxClusters-1 sensitive applications get
+	// MaxClusters bounds the cluster count including the shared cluster,
+	// at least 2. At most MaxClusters-1 sensitive applications get
 	// singleton clusters; the rest share.
 	MaxClusters int
 	// SharedWays is the minimum per-bank way grant of the shared cluster
-	// when it has members (0 defaults to 2).
+	// when it has members.
 	SharedWays int
-	// MinClusterWays is the per-bank floor of every singleton cluster
-	// (0 defaults to 1).
+	// MinClusterWays is the per-bank floor of every singleton cluster.
 	MinClusterWays int
 	// LightFrac classifies an application as a light sharer when its epoch
-	// accesses fall below this fraction of the mean (0 defaults to 0.10).
+	// accesses fall below this fraction of the mean, in (0, 1].
 	LightFrac float64
 	// FlatFrac classifies an application as a streamer when the misses it
 	// could avoid with a full allocation are below this fraction of its
-	// accesses (0 defaults to 0.05).
+	// accesses, in (0, 1].
 	FlatFrac float64
 }
 
 // DefaultConfig mirrors the paper's epoch cadence (1 ms at 4 GHz).
 func DefaultConfig() Config {
-	return Config{Interval: 4_000_000}
+	return Config{
+		Interval:       4_000_000,
+		Smoothing:      0.3,
+		MaxClusters:    8,
+		SharedWays:     2,
+		MinClusterWays: 1,
+		LightFrac:      0.10,
+		FlatFrac:       0.05,
+	}
 }
 
 // Stats counts the policy's activity. The json tags are its snapshot form.
@@ -96,43 +104,41 @@ type Policy struct {
 	Stats Stats
 }
 
-// Validate reports a configuration New would reject; zero-valued optional
-// knobs take their defaults and are valid.
+// Validate reports out-of-range knobs.
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.Interval == 0:
 		return errors.New("lfoc: zero reclassification interval")
-	case cfg.Smoothing < 0 || cfg.Smoothing > 1:
+	case !(cfg.Smoothing > 0 && cfg.Smoothing <= 1):
 		return errors.New("lfoc: Smoothing out of (0,1]")
-	case cfg.MaxClusters != 0 && cfg.MaxClusters < 2:
+	case cfg.MaxClusters < 2:
 		return errors.New("lfoc: MaxClusters must allow the shared cluster plus one singleton")
+	case cfg.SharedWays < 1:
+		return errors.New("lfoc: SharedWays must be positive")
+	case cfg.MinClusterWays < 1:
+		return errors.New("lfoc: MinClusterWays must be positive")
+	case !(cfg.LightFrac > 0 && cfg.LightFrac <= 1):
+		return errors.New("lfoc: LightFrac out of (0,1]")
+	case !(cfg.FlatFrac > 0 && cfg.FlatFrac <= 1):
+		return errors.New("lfoc: FlatFrac out of (0,1]")
 	}
 	return nil
 }
 
-// New builds the policy, panicking on a configuration Validate rejects.
+// ValidateWays reports whether the cluster floors of a configuration
+// Validate accepts fit banks of the given associativity: the shared
+// cluster's floor plus MaxClusters-1 singleton floors must not exceed it.
+func (cfg Config) ValidateWays(ways int) error {
+	if cfg.SharedWays > ways || cfg.MaxClusters-1 > (ways-cfg.SharedWays)/cfg.MinClusterWays {
+		return fmt.Errorf("lfoc: floors of %d shared and %d×%d singleton ways exceed %d ways",
+			cfg.SharedWays, cfg.MaxClusters-1, cfg.MinClusterWays, ways)
+	}
+	return nil
+}
+
+// New builds the policy; cfg must pass Validate and ValidateWays for the
+// chip it attaches to.
 func New(cfg Config) *Policy {
-	if err := cfg.Validate(); err != nil {
-		panic(err.Error())
-	}
-	if cfg.Smoothing == 0 {
-		cfg.Smoothing = 0.3
-	}
-	if cfg.MaxClusters == 0 {
-		cfg.MaxClusters = 8
-	}
-	if cfg.SharedWays == 0 {
-		cfg.SharedWays = 2
-	}
-	if cfg.MinClusterWays == 0 {
-		cfg.MinClusterWays = 1
-	}
-	if cfg.LightFrac == 0 {
-		cfg.LightFrac = 0.10
-	}
-	if cfg.FlatFrac == 0 {
-		cfg.FlatFrac = 0.05
-	}
 	return &Policy{cfg: cfg}
 }
 
@@ -416,7 +422,7 @@ func (p *Policy) CheckInvariants() error {
 	return nil
 }
 
-// Config returns the policy's resolved configuration.
+// Config returns the policy's configuration.
 func (p *Policy) Config() Config { return p.cfg }
 
 // Clusters returns the current (clusterOf, clusterWays) layout (copies).

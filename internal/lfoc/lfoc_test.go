@@ -134,20 +134,42 @@ func TestLFOCCheckInvariantsDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestLFOCValidationPanics(t *testing.T) {
-	cases := []func(){
-		func() { New(Config{Interval: 0}) },
-		func() { New(Config{Interval: 1000, Smoothing: 2}) },
-		func() { New(Config{Interval: 1000, MaxClusters: 1}) },
+// TestLFOCConfigValidate: the defaults are valid, and every knob out of
+// range — an explicit 0 included — or a floor layout that overflows the
+// banks is an error.
+func TestLFOCConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("defaults: %v", err)
 	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("case %d: expected panic", i)
-				}
-			}()
-			fn()
-		}()
+	if err := DefaultConfig().ValidateWays(16); err != nil {
+		t.Fatalf("defaults on 16 ways: %v", err)
+	}
+	for i, mut := range []func(*Config){
+		func(c *Config) { c.Interval = 0 },
+		func(c *Config) { c.Smoothing = 0 },
+		func(c *Config) { c.Smoothing = 2 },
+		func(c *Config) { c.MaxClusters = 1 },
+		func(c *Config) { c.SharedWays = 0 },
+		func(c *Config) { c.SharedWays = -3 },
+		func(c *Config) { c.MinClusterWays = -2 },
+		func(c *Config) { c.LightFrac = 0 },
+		func(c *Config) { c.FlatFrac = 1.5 },
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("case %d: %+v accepted", i, cfg)
+		}
+	}
+	for i, mut := range []func(*Config){
+		func(c *Config) { c.MinClusterWays = 40 },
+		func(c *Config) { c.SharedWays = 17 },
+		func(c *Config) { c.MaxClusters = 16 }, // 2 shared + 15 singleton ways
+	} {
+		cfg := DefaultConfig()
+		mut(&cfg)
+		if err := cfg.ValidateWays(16); err == nil {
+			t.Errorf("geometry case %d: %+v accepted on 16 ways", i, cfg)
+		}
 	}
 }

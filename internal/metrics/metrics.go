@@ -9,7 +9,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -218,14 +217,4 @@ func (t *Table) String() string {
 		line(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns map keys in order, for deterministic reports.
-func SortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

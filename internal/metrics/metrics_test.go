@@ -182,14 +182,6 @@ func TestTablePanicsOnRaggedRow(t *testing.T) {
 	tb.AddRow("only-one")
 }
 
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("keys %v", keys)
-	}
-}
-
 // Property: geomean lies between min and max; scaling inputs scales the
 // geomean linearly.
 func TestGeoMeanProperties(t *testing.T) {

@@ -3,17 +3,21 @@
 // seven built-in schemes register themselves here; external callers add
 // their own via the facade's delta.RegisterPolicy.
 //
-// A builder receives the interval scale (the facade's TimeCompression) and
-// an optional JSON parameter blob. Builders resolve scale-adjusted defaults
-// first and then unmarshal the blob on top, so a full parameter struct
-// overrides everything while a partial one tweaks individual knobs. The
-// built-in builders validate the result and return an error, never panic,
-// on out-of-range parameters.
+// A builder receives the interval scale (the facade's TimeCompression), an
+// optional JSON parameter blob and the chip's bank associativity. The
+// built-ins share one build path: complete defaults with the intervals
+// scaled, the blob decoded strictly on top (absent keys keep their
+// defaults; unknown keys, trailing data and out-of-range values, explicit
+// zeros included, are errors), one validation of ranges and bank geometry,
+// then construction. A built-in builder returns an error, never panics.
 package policies
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 
@@ -35,8 +39,7 @@ type BuildContext struct {
 	Params json.RawMessage
 	// LLCWays is the associativity of one LLC bank, taken from the chip
 	// the policy will attach to, so builders can reject parameters that do
-	// not fit its geometry. 0 means unknown: such checks then happen when
-	// the policy attaches.
+	// not fit its geometry. 0 means unknown and skips that check.
 	LLCWays int
 }
 
@@ -101,69 +104,23 @@ func Build(name string, ctx BuildContext) (chip.Policy, error) {
 	return b(ctx)
 }
 
-// unmarshalParams applies an optional JSON blob onto resolved defaults.
-func unmarshalParams(ctx BuildContext, name string, into any) error {
-	if len(ctx.Params) == 0 {
-		return nil
-	}
-	if err := json.Unmarshal(ctx.Params, into); err != nil {
-		return fmt.Errorf("policies: %s params: %w", name, err)
-	}
-	return nil
+// config is what every configurable built-in's parameter struct provides:
+// Validate checks each knob's range, and ValidateWays, on a configuration
+// Validate accepts, what depends on the associativity of an LLC bank.
+type config interface {
+	Validate() error
+	ValidateWays(ways int) error
 }
 
-// builtins is the count of policies registered by this package's own init;
-// Names keeps them in registration order ahead of external additions.
-var builtins int
-
-func init() {
-	Register("snuca", func(BuildContext) (chip.Policy, error) {
-		return chip.NewSnuca(), nil
-	})
-	Register("private", func(BuildContext) (chip.Policy, error) {
-		return chip.NewPrivate(), nil
-	})
-	Register("delta", func(ctx BuildContext) (chip.Policy, error) {
-		scale := ctx.IntervalScale
-		if scale == 0 {
-			scale = 1
-		}
-		params := core.DefaultParams().Scale(scale)
-		if err := unmarshalParams(ctx, "delta", &params); err != nil {
-			return nil, err
-		}
-		if err := params.Validate(); err != nil {
-			return nil, err
-		}
-		return core.New(params), nil
-	})
-	Register("ideal", func(ctx BuildContext) (chip.Policy, error) {
-		cfg := central.DefaultIdealConfig()
-		cfg.Interval = ctx.scale(cfg.Interval)
-		if err := unmarshalParams(ctx, "ideal", &cfg); err != nil {
-			return nil, err
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return central.NewIdeal(cfg), nil
-	})
-	Register("lfoc", func(ctx BuildContext) (chip.Policy, error) {
-		cfg := lfoc.DefaultConfig()
-		cfg.Interval = ctx.scale(cfg.Interval)
-		if err := unmarshalParams(ctx, "lfoc", &cfg); err != nil {
-			return nil, err
-		}
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		return lfoc.New(cfg), nil
-	})
-	Register("carma", func(ctx BuildContext) (chip.Policy, error) {
-		cfg := carma.DefaultConfig()
-		cfg.Interval = ctx.scale(cfg.Interval)
-		if err := unmarshalParams(ctx, "carma", &cfg); err != nil {
-			return nil, err
+// configured is the one build path of the built-ins: defaults returns the
+// complete, scale-resolved configuration, the params blob is decoded
+// strictly on top, the result is validated once and build constructs the
+// policy from it.
+func configured[C config](name string, defaults func(BuildContext) C, build func(C, BuildContext) (chip.Policy, error)) Builder {
+	return func(ctx BuildContext) (chip.Policy, error) {
+		cfg := defaults(ctx)
+		if err := decodeParams(ctx.Params, &cfg); err != nil {
+			return nil, fmt.Errorf("policies: %s params: %w", name, err)
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -173,30 +130,96 @@ func init() {
 				return nil, err
 			}
 		}
-		return carma.New(cfg), nil
-	})
-	Register("bankbw", func(ctx BuildContext) (chip.Policy, error) {
-		p := struct {
-			// Base names the wrapped policy (default "snuca");
-			// BaseParams optionally parameterizes it.
-			Base       string
-			BaseParams json.RawMessage
-			bankbw.Config
-		}{Base: "snuca"}
-		if err := unmarshalParams(ctx, "bankbw", &p); err != nil {
-			return nil, err
-		}
-		if p.Base == "bankbw" {
-			return nil, fmt.Errorf("policies: bankbw cannot wrap itself")
-		}
-		if err := p.Config.Validate(); err != nil {
-			return nil, err
-		}
-		base, err := Build(p.Base, BuildContext{IntervalScale: ctx.IntervalScale, Params: p.BaseParams, LLCWays: ctx.LLCWays})
-		if err != nil {
-			return nil, fmt.Errorf("policies: bankbw base: %w", err)
-		}
-		return bankbw.New(base, p.Config), nil
-	})
+		return build(cfg, ctx)
+	}
+}
+
+// decodeParams decodes an optional JSON object onto into: absent keys keep
+// their values, unknown keys and trailing data are errors.
+func decodeParams(blob json.RawMessage, into any) error {
+	if len(blob) == 0 {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(blob))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the params object")
+	}
+	return nil
+}
+
+// noParams is the configuration of a policy without knobs: any key is
+// unknown.
+type noParams struct{}
+
+func (noParams) Validate() error        { return nil }
+func (noParams) ValidateWays(int) error { return nil }
+
+// bankbwParams configures the regulator and names the policy it wraps.
+type bankbwParams struct {
+	// Base names the wrapped policy; BaseParams optionally parameterizes
+	// it and is decoded and validated by the base's own builder.
+	Base       string
+	BaseParams json.RawMessage
+	bankbw.Config
+}
+
+func (p bankbwParams) Validate() error {
+	if p.Base == "bankbw" {
+		return errors.New("policies: bankbw cannot wrap itself")
+	}
+	return p.Config.Validate()
+}
+
+func (bankbwParams) ValidateWays(int) error { return nil }
+
+// builtins is the count of policies registered by this package's own init;
+// Names keeps them in registration order ahead of external additions.
+var builtins int
+
+func init() {
+	Register("snuca", configured("snuca",
+		func(BuildContext) noParams { return noParams{} },
+		func(noParams, BuildContext) (chip.Policy, error) { return chip.NewSnuca(), nil }))
+	Register("private", configured("private",
+		func(BuildContext) noParams { return noParams{} },
+		func(noParams, BuildContext) (chip.Policy, error) { return chip.NewPrivate(), nil }))
+	Register("delta", configured("delta",
+		func(ctx BuildContext) core.Params { return core.DefaultParams().Scale(max(ctx.IntervalScale, 1)) },
+		func(p core.Params, _ BuildContext) (chip.Policy, error) { return core.New(p), nil }))
+	Register("ideal", configured("ideal",
+		func(ctx BuildContext) central.IdealConfig {
+			cfg := central.DefaultIdealConfig()
+			cfg.Interval = ctx.scale(cfg.Interval)
+			return cfg
+		},
+		func(cfg central.IdealConfig, _ BuildContext) (chip.Policy, error) { return central.NewIdeal(cfg), nil }))
+	Register("lfoc", configured("lfoc",
+		func(ctx BuildContext) lfoc.Config {
+			cfg := lfoc.DefaultConfig()
+			cfg.Interval = ctx.scale(cfg.Interval)
+			return cfg
+		},
+		func(cfg lfoc.Config, _ BuildContext) (chip.Policy, error) { return lfoc.New(cfg), nil }))
+	Register("carma", configured("carma",
+		func(ctx BuildContext) carma.Config {
+			cfg := carma.DefaultConfig()
+			cfg.Interval = ctx.scale(cfg.Interval)
+			return cfg
+		},
+		func(cfg carma.Config, _ BuildContext) (chip.Policy, error) { return carma.New(cfg), nil }))
+	Register("bankbw", configured("bankbw",
+		func(BuildContext) bankbwParams { return bankbwParams{Base: "snuca", Config: bankbw.DefaultConfig()} },
+		func(p bankbwParams, ctx BuildContext) (chip.Policy, error) {
+			ctx.Params = p.BaseParams
+			base, err := Build(p.Base, ctx)
+			if err != nil {
+				return nil, fmt.Errorf("policies: bankbw base: %w", err)
+			}
+			return bankbw.New(base, p.Config), nil
+		}))
 	builtins = len(order)
 }

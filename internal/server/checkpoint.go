@@ -12,6 +12,7 @@ import (
 
 	"delta"
 	"delta/internal/server/api"
+	"delta/internal/server/store"
 )
 
 // checkpointFile is the on-disk form of a suspended job, keyed by the job's
@@ -52,20 +53,7 @@ func (s *Server) writeCheckpointRaw(id string, req api.SubmitRequest, data json.
 	if err := os.MkdirAll(s.cfg.CheckpointDir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(s.cfg.CheckpointDir, id+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), s.checkpointPath(id))
+	return store.WriteAtomic(s.checkpointPath(id), body)
 }
 
 // readCheckpoint loads a suspended job's checkpoint; (nil, nil) when none

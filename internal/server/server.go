@@ -59,9 +59,6 @@ type Config struct {
 	// a crash between completion and checkpoint removal. Empty disables
 	// the store.
 	ResultDir string
-	// SnapshotEvery auto-checkpoints each running simulation in memory
-	// every n quantum boundaries (see delta.WithSnapshotEvery); 0 disables.
-	SnapshotEvery int
 	// Version is reported by /healthz.
 	Version string
 	// Sink, when non-nil, receives every simulation's telemetry in
@@ -341,8 +338,7 @@ func (s *Server) runJob(j *job) {
 	if j.snapData != nil {
 		var snap *delta.Snapshot
 		if snap, err = delta.DecodeSnapshot(j.snapData); err == nil {
-			sim, err = delta.Restore(snap,
-				delta.WithRecorder(rec), delta.WithSnapshotEvery(s.cfg.SnapshotEvery))
+			sim, err = delta.Restore(snap, delta.WithRecorder(rec))
 			if err == nil {
 				s.shared.Count("served.jobs.resumed", 1)
 			}
@@ -350,7 +346,6 @@ func (s *Server) runJob(j *job) {
 	} else {
 		cfg := config(j.req)
 		cfg.Recorder = rec
-		cfg.SnapshotEvery = s.cfg.SnapshotEvery
 		if sim, err = delta.New(delta.WithConfig(cfg)); err == nil {
 			err = loadWorkloads(sim, j.req)
 		}

@@ -72,20 +72,27 @@ func (s *Store) Put(doc api.Job) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	tmp, err := os.CreateTemp(s.dir, doc.ID+".tmp*")
+	return WriteAtomic(s.path(doc.ID), body)
+}
+
+// WriteAtomic writes body to path through a temporary file in the same
+// directory that is renamed over path once written and closed, so a crash
+// mid-write never leaves a truncated file under the final name. It does not
+// fsync: the rename is atomic, not durable.
+func WriteAtomic(path string, body []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(body)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), s.path(doc.ID))
+	return os.Rename(tmp.Name(), path)
 }
 
 // Get loads a stored result; ok is false when none exists. Corrupt or

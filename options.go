@@ -125,11 +125,13 @@ func WithScenario(sc *Scenario) Option {
 
 // WithPolicyParams overrides the named policy's parameters uniformly for
 // every registered policy: params is marshaled to JSON deterministically and
-// unmarshaled onto the policy's scale-resolved defaults at construction, so
-// a full parameter struct (e.g. core.Params, lfoc.Config) replaces
-// everything while a partial map tweaks individual knobs. The marshaled
-// bytes join CanonicalJSON, changing the configuration's content address.
-// A value that cannot marshal surfaces as an error from New.
+// decoded onto the policy's complete, scale-resolved defaults at
+// construction, so a full parameter struct (e.g. core.Params, lfoc.Config)
+// replaces everything while a partial map tweaks individual knobs. For the
+// built-ins, an unknown key, an explicit 0 on a knob that has a default and
+// an out-of-range value are errors from New. The marshaled bytes join
+// CanonicalJSON, changing the configuration's content address. A value
+// that cannot marshal surfaces as an error from New.
 func WithPolicyParams(name PolicyKind, params any) Option {
 	return func(c *Config) {
 		if c.PolicyParams == nil {

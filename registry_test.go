@@ -90,10 +90,13 @@ func TestPolicyParamsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := lfoc.DefaultConfig() // absent keys keep their defaults
+	want.Interval /= 50          // the default TimeCompression
+	want.MaxClusters = 3
 	if p, ok := sim.Policy().(*lfoc.Policy); !ok {
 		t.Fatalf("lfoc policy not exposed: %T", sim.Policy())
-	} else if got := p.Config().MaxClusters; got != 3 {
-		t.Fatalf("MaxClusters = %d, want 3", got)
+	} else if got := p.Config(); got != want {
+		t.Fatalf("config = %+v, want %+v", got, want)
 	}
 
 	sim, err = New(WithCores(16), WithPolicy(PolicyCARMA),
@@ -149,9 +152,9 @@ func TestPolicyParamsInvalidRejected(t *testing.T) {
 	}
 }
 
-// TestPolicyParamsOutOfRangeRejected: parameters a policy constructor
-// would panic on surface as errors from New, for every policy whose
-// builder validates.
+// TestPolicyParamsOutOfRangeRejected: parameters a policy would panic on,
+// run with a nonsense value, ignore or reinterpret as a default surface as
+// errors from New, for every configurable policy and for bankbw's base.
 func TestPolicyParamsOutOfRangeRejected(t *testing.T) {
 	for _, tc := range []struct {
 		policy PolicyKind
@@ -164,6 +167,21 @@ func TestPolicyParamsOutOfRangeRejected(t *testing.T) {
 		{PolicyCARMA, map[string]int{"LotWays": -1}, "LotWays"},
 		{PolicyBankBW, map[string]int{"ThrottlePct": 101}, "ThrottlePct"},
 		{PolicyBankBW, map[string]any{"Base": "delta", "BaseParams": map[string]int{"MinWays": 0}}, "MinWays"},
+		// Accepted by New, then panicked mid-run.
+		{PolicyLFOC, map[string]int{"SharedWays": -3}, "SharedWays"},
+		{PolicyLFOC, map[string]int{"MinClusterWays": -2}, "MinClusterWays"},
+		{PolicyLFOC, map[string]int{"MinClusterWays": 40}, "16 ways"},
+		{PolicyIdeal, map[string]int{"MaxWays": -4}, "MaxWays"},
+		// Accepted by New, then run with a negative cap.
+		{PolicyCARMA, map[string]int{"MaxBudget": -5}, "MaxBudget"},
+		// Unknown keys, once ignored.
+		{PolicyDelta, map[string]int{"NoSuchKnob": 1}, "NoSuchKnob"},
+		{PolicyBankBW, map[string]any{"Base": "lfoc", "BaseParams": map[string]int{"NoSuchKnob": 1}}, "NoSuchKnob"},
+		// Explicit zeros, once read as the defaults.
+		{PolicyCARMA, map[string]int{"Regen": 0}, "Regen"},
+		{PolicyLFOC, map[string]int{"MaxClusters": 0}, "MaxClusters"},
+		{PolicyIdeal, map[string]int{"BenefitGate": 0}, "BenefitGate"},
+		{PolicyBankBW, map[string]int{"ThrottlePct": 0}, "ThrottlePct"},
 	} {
 		_, err := New(WithCores(16), WithPolicy(tc.policy), WithPolicyParams(tc.policy, tc.params))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
