@@ -120,9 +120,9 @@ type Config struct {
 	// name, as JSON decoded onto the policy's scale-resolved defaults.
 	// Set entries with WithPolicyParams, which marshals deterministically
 	// (the raw bytes are part of CanonicalJSON, so semantically equal but
-	// differently formatted JSON yields different content addresses). Only
-	// the entry matching Policy affects the run, but every entry must name
-	// a registered policy and hold valid JSON.
+	// differently formatted JSON yields different content addresses). The
+	// only entry allowed is Policy's own: params for another policy would
+	// change the content address without changing the run.
 	PolicyParams map[string]json.RawMessage
 }
 
@@ -269,17 +269,16 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 }
 
 // Validate rejects configurations the internal layers would panic on: an
-// unregistered policy (or policy params for one) and a core count that is
-// not a square power of two. New and Restore apply it.
+// unregistered policy, policy params for any policy but the run's, and a
+// core count that is not a square power of two. New and Restore apply it.
 func (c Config) Validate() error {
 	if !policies.Registered(string(c.Policy)) {
 		return fmt.Errorf("delta: unknown policy %q (registered: %s)",
 			c.Policy, strings.Join(Policies(), " "))
 	}
 	for _, name := range sortedParamKeys(c.PolicyParams) {
-		if !policies.Registered(name) {
-			return fmt.Errorf("delta: policy params for unknown policy %q (registered: %s)",
-				name, strings.Join(Policies(), " "))
+		if name != string(c.Policy) {
+			return fmt.Errorf("delta: policy params for %q, but the run's policy is %q", name, c.Policy)
 		}
 		if !json.Valid(c.PolicyParams[name]) {
 			return fmt.Errorf("delta: policy params for %q are not valid JSON", name)

@@ -755,11 +755,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_config", "malformed request body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", "malformed request body: "+err.Error())
 		return
 	}
 	if req.SchemaVersion != 0 && req.SchemaVersion != api.SchemaVersion {
-		writeError(w, http.StatusBadRequest, "schema_version",
+		api.WriteError(w, http.StatusBadRequest, "schema_version",
 			fmt.Sprintf("request pins schema version %d; this coordinator speaks %d", req.SchemaVersion, api.SchemaVersion))
 		return
 	}
@@ -769,11 +769,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sub.Deduped {
-		writeJSON(w, http.StatusOK, sub)
+		api.WriteJSON(w, http.StatusOK, sub)
 		return
 	}
 	w.Header().Set("Location", "/v1/simulations/"+fj.id)
-	writeJSON(w, http.StatusAccepted, sub)
+	api.WriteJSON(w, http.StatusAccepted, sub)
 }
 
 // handleGet serves a job's document; ?wait=<duration> long-polls until the
@@ -781,7 +781,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	wait, err := api.ParseWait(r.URL.Query().Get("wait"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_wait", err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_wait", err.Error())
 		return
 	}
 	id := r.PathValue("id")
@@ -789,26 +789,17 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	fj := c.jobs[id]
 	c.mu.Unlock()
 	if fj != nil {
-		if wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-fj.done:
-			case <-t.C:
-			case <-r.Context().Done():
-			case <-c.baseCtx.Done():
-			}
-			t.Stop()
-		}
-		writeJSON(w, http.StatusOK, fj.snapshot())
+		api.AwaitSettled(r.Context(), wait, fj.done, c.baseCtx.Done())
+		api.WriteJSON(w, http.StatusOK, fj.snapshot())
 		return
 	}
 	if c.results != nil {
 		if doc, ok, err := c.results.Get(id); err == nil && ok {
-			writeJSON(w, http.StatusOK, doc)
+			api.WriteJSON(w, http.StatusOK, doc)
 			return
 		}
 	}
-	writeError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
+	api.WriteError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
 }
 
 // handleBatch admits every job of the batch (deduplicating inside the batch
@@ -819,20 +810,20 @@ func (c *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_config", "malformed batch body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", "malformed batch body: "+err.Error())
 		return
 	}
 	if breq.SchemaVersion != 0 && breq.SchemaVersion != api.SchemaVersion {
-		writeError(w, http.StatusBadRequest, "schema_version",
+		api.WriteError(w, http.StatusBadRequest, "schema_version",
 			fmt.Sprintf("batch pins schema version %d; this coordinator speaks %d", breq.SchemaVersion, api.SchemaVersion))
 		return
 	}
 	if len(breq.Jobs) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_config", "batch has no jobs")
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", "batch has no jobs")
 		return
 	}
 	if len(breq.Jobs) > c.cfg.MaxBatch {
-		writeError(w, http.StatusBadRequest, "batch_too_large",
+		api.WriteError(w, http.StatusBadRequest, "batch_too_large",
 			fmt.Sprintf("batch has %d jobs; this coordinator accepts at most %d", len(breq.Jobs), c.cfg.MaxBatch))
 		return
 	}
@@ -895,40 +886,40 @@ func (c *Coordinator) awaitItem(ctx context.Context, index int, id string, fj *f
 }
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.fleetStatus())
+	api.WriteJSON(w, http.StatusOK, c.fleetStatus())
 }
 
 func (c *Coordinator) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 	var req api.RegisterWorkerRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_config", "malformed body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", "malformed body: "+err.Error())
 		return
 	}
 	u, err := neturl.Parse(req.URL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
-		writeError(w, http.StatusBadRequest, "invalid_config", fmt.Sprintf("worker url %q is not absolute", req.URL))
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", fmt.Sprintf("worker url %q is not absolute", req.URL))
 		return
 	}
 	c.AddWorker(req.URL)
-	writeJSON(w, http.StatusOK, c.fleetStatus())
+	api.WriteJSON(w, http.StatusOK, c.fleetStatus())
 }
 
 func (c *Coordinator) handleRemoveWorker(w http.ResponseWriter, r *http.Request) {
 	url := r.URL.Query().Get("url")
 	if url == "" {
-		writeError(w, http.StatusBadRequest, "invalid_config", "missing url query parameter")
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", "missing url query parameter")
 		return
 	}
 	if err := c.RemoveWorker(url); err != nil {
-		writeError(w, http.StatusNotFound, "unknown_worker", err.Error())
+		api.WriteError(w, http.StatusNotFound, "unknown_worker", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, c.fleetStatus())
+	api.WriteJSON(w, http.StatusOK, c.fleetStatus())
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	st := c.fleetStatus()
-	writeJSON(w, http.StatusOK, api.Health{
+	api.WriteJSON(w, http.StatusOK, api.Health{
 		Status:        st.Status,
 		Version:       c.cfg.Version,
 		UptimeSeconds: int64(time.Since(c.start).Seconds()),
@@ -947,11 +938,11 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.mu.Unlock()
 	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining")
+		api.WriteError(w, http.StatusServiceUnavailable, "draining", "coordinator is draining")
 		return
 	}
 	if up == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no_workers", "no healthy workers in the fleet")
+		api.WriteError(w, http.StatusServiceUnavailable, "no_workers", "no healthy workers in the fleet")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -986,21 +977,11 @@ func sortWorkers(ws []api.WorkerInfo) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, api.ErrorBody{Error: api.ErrorDetail{Code: code, Message: msg}})
-}
-
 func writeCoordError(w http.ResponseWriter, err error) {
 	var ce *coordError
 	if errors.As(err, &ce) {
-		writeError(w, ce.status, ce.code, ce.msg)
+		api.WriteError(w, ce.status, ce.code, ce.msg)
 		return
 	}
-	writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	api.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 }

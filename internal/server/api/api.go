@@ -1,6 +1,8 @@
 // Package api defines the JSON wire types of the delta-served HTTP API.
 // Both the server (internal/server) and the Go client
 // (internal/server/client) build against these, so the two cannot drift.
+// It also holds the response and long-poll helpers that delta-served and
+// delta-coord (internal/fabric) share, so both answer alike.
 //
 // All simulation requests are declarative — a workload is named (a Table IV
 // mix or SPEC CPU2006 models), never supplied as code — which is what makes
@@ -9,8 +11,10 @@
 package api
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"time"
 
 	"delta/internal/scenario"
@@ -169,6 +173,35 @@ func ParseWait(v string) (time.Duration, error) {
 		return 0, fmt.Errorf("wait must be a non-negative Go duration such as 2s: %q", v)
 	}
 	return min(d, MaxWait), nil
+}
+
+// AwaitSettled is the long-poll behind ?wait=: it returns once done closes
+// (the job settled), wait elapses, ctx ends (the client went away) or stop
+// closes (the server is shutting down). A wait <= 0 returns at once.
+func AwaitSettled(ctx context.Context, wait time.Duration, done, stop <-chan struct{}) {
+	if wait <= 0 {
+		return
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-done:
+	case <-t.C:
+	case <-ctx.Done():
+	case <-stop:
+	}
+}
+
+// WriteJSON answers with status and v as the JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError answers with status and a structured ErrorBody.
+func WriteError(w http.ResponseWriter, status int, code, msg string) {
+	WriteJSON(w, status, ErrorBody{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
 // BatchRequest submits many simulations at once (POST /v1/batch on the

@@ -126,23 +126,23 @@ func (s *Server) sweepOrphanedCheckpoints() {
 // coordinator can hand the job to a peer (GET /v1/simulations/{id}/checkpoint).
 func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.CheckpointDir == "" {
-		writeError(w, http.StatusConflict, "not_suspendable",
+		api.WriteError(w, http.StatusConflict, "not_suspendable",
 			"server runs without a checkpoint directory; checkpoints are disabled")
 		return
 	}
 	id := r.PathValue("id")
 	cf, err := s.readCheckpoint(id)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	if cf == nil {
-		writeError(w, http.StatusNotFound, "no_checkpoint",
+		api.WriteError(w, http.StatusNotFound, "no_checkpoint",
 			"no checkpoint persisted for this content address")
 		return
 	}
 	s.shared.Count("served.checkpoints.served", 1)
-	writeJSON(w, http.StatusOK, api.CheckpointTransfer{
+	api.WriteJSON(w, http.StatusOK, api.CheckpointTransfer{
 		SchemaVersion: cf.SchemaVersion, ID: id, Request: cf.Request, Snapshot: cf.Snapshot})
 }
 
@@ -153,7 +153,7 @@ func (s *Server) handleGetCheckpoint(w http.ResponseWriter, r *http.Request) {
 // poison resume-by-address for everyone hashing to it.
 func (s *Server) handlePutCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.CheckpointDir == "" {
-		writeError(w, http.StatusConflict, "not_suspendable",
+		api.WriteError(w, http.StatusConflict, "not_suspendable",
 			"server runs without a checkpoint directory; checkpoints are disabled")
 		return
 	}
@@ -161,33 +161,33 @@ func (s *Server) handlePutCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var ct api.CheckpointTransfer
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err := dec.Decode(&ct); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_config", "malformed checkpoint body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", "malformed checkpoint body: "+err.Error())
 		return
 	}
 	if ct.SchemaVersion != api.SchemaVersion {
-		writeError(w, http.StatusBadRequest, "schema_version",
+		api.WriteError(w, http.StatusBadRequest, "schema_version",
 			fmt.Sprintf("checkpoint pins schema version %d; this server speaks %d", ct.SchemaVersion, api.SchemaVersion))
 		return
 	}
 	norm, addr, err := ContentAddress(ct.Request)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_config", err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", err.Error())
 		return
 	}
 	if addr != id || (ct.ID != "" && ct.ID != id) {
-		writeError(w, http.StatusBadRequest, "checkpoint_mismatch",
+		api.WriteError(w, http.StatusBadRequest, "checkpoint_mismatch",
 			fmt.Sprintf("request hashes to %s, not %s", addr, id))
 		return
 	}
 	if _, err := delta.DecodeSnapshot(ct.Snapshot); err != nil {
-		writeError(w, http.StatusBadRequest, "checkpoint_mismatch", "snapshot does not decode: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, "checkpoint_mismatch", "snapshot does not decode: "+err.Error())
 		return
 	}
 	if err := s.writeCheckpointRaw(id, norm, ct.Snapshot); err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	s.shared.Count("served.checkpoints.received", 1)
-	writeJSON(w, http.StatusOK, api.SubmitResponse{
+	api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
 		SchemaVersion: api.SchemaVersion, ID: id, Status: api.StateSuspended})
 }

@@ -487,24 +487,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.shared.Count("served.rejected.invalid", 1)
-		writeError(w, http.StatusBadRequest, "invalid_config", "malformed request body: "+err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", "malformed request body: "+err.Error())
 		return
 	}
 	if req.SchemaVersion != 0 && req.SchemaVersion != api.SchemaVersion {
 		s.shared.Count("served.rejected.schema", 1)
-		writeError(w, http.StatusBadRequest, "schema_version",
+		api.WriteError(w, http.StatusBadRequest, "schema_version",
 			fmt.Sprintf("request pins schema version %d; this server speaks %d", req.SchemaVersion, api.SchemaVersion))
 		return
 	}
 	norm, err := normalize(req)
 	if err != nil {
 		s.shared.Count("served.rejected.invalid", 1)
-		writeError(w, http.StatusBadRequest, "invalid_config", err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_config", err.Error())
 		return
 	}
 	id, err := cacheKey(norm)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	lane := s.queueNorm
@@ -521,7 +521,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if j != nil && !suspended {
 		s.shared.Count("served.singleflight.deduped", 1)
-		writeJSON(w, http.StatusOK, api.SubmitResponse{
+		api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
 			SchemaVersion: api.SchemaVersion, ID: id, Status: j.snapshot().Status, Deduped: true})
 		return
 	}
@@ -542,7 +542,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.removeCheckpoint(id)
 			s.shared.Count("served.store.hits", 1)
 			s.shared.Count("served.singleflight.deduped", 1)
-			writeJSON(w, http.StatusOK, api.SubmitResponse{
+			api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
 				SchemaVersion: api.SchemaVersion, ID: id, Status: api.StateDone, Deduped: true})
 			return
 		}
@@ -564,13 +564,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// the suspended job; attach to the winner.
 		s.mu.Unlock()
 		s.shared.Count("served.singleflight.deduped", 1)
-		writeJSON(w, http.StatusOK, api.SubmitResponse{
+		api.WriteJSON(w, http.StatusOK, api.SubmitResponse{
 			SchemaVersion: api.SchemaVersion, ID: id, Status: cur.snapshot().Status, Deduped: true})
 		return
 	}
 	if s.draining {
 		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining; not accepting new simulations")
+		api.WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining; not accepting new simulations")
 		return
 	}
 	nj := newJob(id, norm)
@@ -587,7 +587,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.shared.Count("served.jobs.resume_accepted", 1)
 		}
 		w.Header().Set("Location", "/v1/simulations/"+id)
-		writeJSON(w, http.StatusAccepted, api.SubmitResponse{
+		api.WriteJSON(w, http.StatusAccepted, api.SubmitResponse{
 			SchemaVersion: api.SchemaVersion, ID: id, Status: api.StateQueued, Resumed: resumed})
 	default:
 		queued := s.queued()
@@ -598,7 +598,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			retry = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeError(w, http.StatusTooManyRequests, "queue_full",
+		api.WriteError(w, http.StatusTooManyRequests, "queue_full",
 			fmt.Sprintf("queue full (%d waiting); retry after %ds", queued, retry))
 	}
 }
@@ -609,36 +609,36 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAction(w http.ResponseWriter, r *http.Request) {
 	id, action, ok := strings.Cut(r.PathValue("idAction"), ":")
 	if !ok || action != "suspend" {
-		writeError(w, http.StatusBadRequest, "invalid_config",
+		api.WriteError(w, http.StatusBadRequest, "invalid_config",
 			fmt.Sprintf("unknown action %q; only :suspend is supported", action))
 		return
 	}
 	if s.cfg.CheckpointDir == "" {
-		writeError(w, http.StatusConflict, "not_suspendable",
+		api.WriteError(w, http.StatusConflict, "not_suspendable",
 			"server runs without a checkpoint directory; suspension is disabled")
 		return
 	}
 	j := s.lookup(id)
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
+		api.WriteError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
 		return
 	}
 	doc := j.snapshot()
 	switch {
 	case doc.Status.Terminal():
-		writeError(w, http.StatusConflict, "not_suspendable",
+		api.WriteError(w, http.StatusConflict, "not_suspendable",
 			fmt.Sprintf("job is already %s", doc.Status))
 		return
 	case doc.Status == api.StateSuspended:
 		// Idempotent: already suspended.
-		writeJSON(w, http.StatusOK, doc)
+		api.WriteJSON(w, http.StatusOK, doc)
 		return
 	}
 	j.requestSuspend()
 	s.shared.Count("served.suspend.requested", 1)
 	// Suspension is asynchronous — the simulation stops at its next quantum
 	// boundary; poll the job document for status "suspended".
-	writeJSON(w, http.StatusAccepted, j.snapshot())
+	api.WriteJSON(w, http.StatusAccepted, j.snapshot())
 }
 
 // handleGet serves a job's document. With ?wait=<duration> it is a
@@ -650,31 +650,22 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	wait, err := api.ParseWait(r.URL.Query().Get("wait"))
 	if err != nil {
 		s.shared.Count("served.rejected.invalid", 1)
-		writeError(w, http.StatusBadRequest, "invalid_wait", err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_wait", err.Error())
 		return
 	}
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
+		api.WriteError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
 		return
 	}
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		select {
-		case <-j.done:
-		case <-t.C:
-		case <-r.Context().Done():
-		case <-s.baseCtx.Done():
-		}
-		t.Stop()
-	}
-	writeJSON(w, http.StatusOK, j.snapshot())
+	api.AwaitSettled(r.Context(), wait, j.done, s.baseCtx.Done())
+	api.WriteJSON(w, http.StatusOK, j.snapshot())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
-		writeError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
+		api.WriteError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
 		return
 	}
 	replay, live := j.subscribe()
@@ -722,7 +713,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // long as their segment directory exists.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.TelemetryDir == "" {
-		writeError(w, http.StatusConflict, "no_telemetry",
+		api.WriteError(w, http.StatusConflict, "no_telemetry",
 			"server runs without a telemetry directory; columnar telemetry is disabled")
 		return
 	}
@@ -730,7 +721,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	q, err := parseTelemetryQuery(r)
 	if err != nil {
 		s.shared.Count("served.rejected.invalid", 1)
-		writeError(w, http.StatusBadRequest, "invalid_range", err.Error())
+		api.WriteError(w, http.StatusBadRequest, "invalid_range", err.Error())
 		return
 	}
 	dir, err := columnar.OpenDir(filepath.Join(s.cfg.TelemetryDir, id))
@@ -739,19 +730,19 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		// of from a known job whose telemetry was never written (sink error,
 		// retention, or a job accepted before -telemetry-dir was set).
 		if s.lookup(id) == nil {
-			writeError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
+			api.WriteError(w, http.StatusNotFound, "unknown_job", "no simulation with this id")
 		} else {
-			writeError(w, http.StatusNotFound, "no_telemetry", "no telemetry recorded for this simulation")
+			api.WriteError(w, http.StatusNotFound, "no_telemetry", "no telemetry recorded for this simulation")
 		}
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		api.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	for _, tag := range q.Tags {
 		if !dir.HasTag(tag) {
-			writeError(w, http.StatusBadRequest, "unknown_tag",
+			api.WriteError(w, http.StatusBadRequest, "unknown_tag",
 				fmt.Sprintf("tag %q not present in this simulation's telemetry (have %q)", tag, dir.Tags()))
 			return
 		}
@@ -812,7 +803,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, api.Health{
+	api.WriteJSON(w, http.StatusOK, api.Health{
 		Status:        status,
 		Version:       s.cfg.Version,
 		UptimeSeconds: int64(time.Since(s.start).Seconds()),
@@ -826,7 +817,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
-		writeError(w, http.StatusServiceUnavailable, "draining", "server is draining")
+		api.WriteError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -849,14 +840,4 @@ func (s *Server) lookup(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, api.ErrorBody{Error: api.ErrorDetail{Code: code, Message: msg}})
 }

@@ -64,7 +64,7 @@ type akey struct {
 // path.
 //
 // Reconfiguration events are not stored in the columnar format — they remain
-// the domain of the JSONL/CSV streams and the server's progress feed; Event
+// the domain of the JSONL stream and the server's progress feed; Event
 // is a no-op. Counters and gauges accumulate and are written as sorted
 // blocks on Flush, mirroring the Stream recorder.
 type Writer struct {

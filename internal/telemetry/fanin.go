@@ -5,30 +5,16 @@ import "sync"
 // FanIn makes a single Recorder shareable by simulations running on
 // different goroutines: it serializes every call into the wrapped recorder
 // behind one mutex, and stamps each emitter's records so interleaved streams
-// stay attributable. The parallel campaign engine wraps Scale.Recorder in a
-// FanIn whenever more than one chip may be in flight.
+// stay attributable. delta-served wraps its -jsonl sink in a FanIn, one view
+// per job, and the parallel campaign engine wraps Scale.Recorder in one
+// whenever more than one chip may be in flight.
 //
 // Tagging scheme: events and samples carry the tag in their Tag field
-// (serialized by Stream as a "tag" JSON key / CSV column). Counters and
-// gauges go through TaggedRecorder when the wrapped recorder implements it,
-// keeping the tag a first-class dimension (exposed as a Prometheus "tag"
-// label). Recorders that are not tag-aware are fed "tag."-prefixed names as
-// a namespacing fallback so per-chip aggregates cannot collide; tag-aware
-// recorders see only the (tag, name) series — the flat prefixed aliases that
-// duplicated them for one deprecation release are gone.
+// (serialized by Stream as a "tag" JSON key). Counters and gauges reach the
+// wrapped recorder as "tag.name", so per-chip aggregates cannot collide.
 type FanIn struct {
 	mu    sync.Mutex
 	inner Recorder
-}
-
-// TaggedRecorder is the optional extension a Recorder implements to receive
-// counter and gauge updates with the emitter tag as a separate dimension
-// instead of folded into the metric name. Memory and Shared implement it.
-type TaggedRecorder interface {
-	// CountTagged adds delta to the (tag, name) counter.
-	CountTagged(tag, name string, delta uint64)
-	// GaugeTagged sets the (tag, name) gauge.
-	GaugeTagged(tag, name string, v float64)
 }
 
 // NewFanIn wraps inner. The wrapped recorder itself need not be safe for
@@ -77,27 +63,17 @@ func (t tagged) Sample(s Sample) {
 	t.f.mu.Unlock()
 }
 
-// Count implements Recorder. Tag-aware recorders receive the tag as its own
-// dimension; others get the "tag."-prefixed fallback name.
+// Count implements Recorder under the "tag."-prefixed name.
 func (t tagged) Count(name string, delta uint64) {
 	t.f.mu.Lock()
-	if tr, ok := t.f.inner.(TaggedRecorder); ok && t.tag != "" {
-		tr.CountTagged(t.tag, name, delta)
-	} else {
-		t.f.inner.Count(t.name(name), delta)
-	}
+	t.f.inner.Count(t.name(name), delta)
 	t.f.mu.Unlock()
 }
 
-// Gauge implements Recorder. Tag-aware recorders receive the tag as its own
-// dimension; others get the "tag."-prefixed fallback name.
+// Gauge implements Recorder under the "tag."-prefixed name.
 func (t tagged) Gauge(name string, v float64) {
 	t.f.mu.Lock()
-	if tr, ok := t.f.inner.(TaggedRecorder); ok && t.tag != "" {
-		tr.GaugeTagged(t.tag, name, v)
-	} else {
-		t.f.inner.Gauge(t.name(name), v)
-	}
+	t.f.inner.Gauge(t.name(name), v)
 	t.f.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -125,34 +126,29 @@ func tagName(e int) string {
 	return "chip" + strings.Repeat("i", e+1)
 }
 
-// TestFanInTaggedRecorder drives a tag-aware inner recorder: counters and
-// gauges must land in the (tag, name) series only — the "tag.name" prefixed
-// flat aliases from the deprecation window must no longer be written.
-func TestFanInTaggedRecorder(t *testing.T) {
-	inner := NewMemory(0)
-	rec := NewFanIn(inner).Tag("w2")
-	rec.Count("core.challenges_sent", 7)
-	rec.Gauge("bank00.fill", 0.9)
-
-	if got := inner.TaggedCounter("w2", "core.challenges_sent"); got != 7 {
-		t.Fatalf("tagged counter = %d, want 7", got)
+// TestFanInJSONLSinkBytes pins the bytes of delta-served's -jsonl sink: one
+// JSONL Stream behind a FanIn, each job emitting through a view tagged with
+// its id. Events and samples carry the tag as a "tag" key; counters and
+// gauges come out on Flush under "<tag>."-prefixed names.
+func TestFanInJSONLSinkBytes(t *testing.T) {
+	var buf bytes.Buffer
+	fan := NewFanIn(NewJSONL(&buf))
+	rec := fan.Tag("9f2c")
+	rec.Event(Event{Cycle: 80000, Kind: KindCede, Core: 3, Bank: 2, Peer: 5, Ways: 2, GainFrom: 0.5, GainTo: 1.25})
+	rec.Sample(Sample{Cycle: 16000, Tile: 0, IPC: 0.51, MPKI: 12.4, BankFill: 0.92, BankHitRate: 0.63})
+	rec.Sample(Sample{Cycle: 16000, Tile: ChipWide, NoCLinkUtil: 0.0413, MCUQueue: 0.27})
+	rec.Count("chip.llc_accesses", 197)
+	rec.Gauge("bank03.fill", 0.971)
+	if err := fan.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	if v, ok := inner.TaggedGaugeValue("w2", "bank00.fill"); !ok || v != 0.9 {
-		t.Fatalf("tagged gauge = %v,%v, want 0.9,true", v, ok)
-	}
-	// The deprecated flat aliases are gone: no prefixed shadow series.
-	if got := inner.Counter("w2.core.challenges_sent"); got != 0 {
-		t.Fatalf("prefixed alias counter resurrected = %d, want 0", got)
-	}
-	if _, ok := inner.GaugeValue("w2.bank00.fill"); ok {
-		t.Fatalf("prefixed alias gauge resurrected")
-	}
-	// An empty tag stays a plain passthrough even on a tag-aware recorder.
-	NewFanIn(inner).Tag("").Count("plain", 1)
-	if got := inner.Counter("plain"); got != 1 {
-		t.Fatalf("empty-tag counter = %d, want 1", got)
-	}
-	if got := inner.TaggedCounter("", "plain"); got != 0 {
-		t.Fatalf("empty tag must not create a tagged series (got %d)", got)
+	const want = `{"kind":"cede","tag":"9f2c","cycle":80000,"core":3,"bank":2,"peer":5,"ways":2,"gain_from":0.5,"gain_to":1.25}
+{"kind":"quantum-sample","tag":"9f2c","cycle":16000,"tile":0,"ipc":0.51,"mpki":12.4,"fill":0.92,"hit_rate":0.63}
+{"kind":"quantum-sample","tag":"9f2c","cycle":16000,"tile":-1,"noc_util":0.0413,"mcu_queue":0.27}
+{"kind":"counter","name":"9f2c.chip.llc_accesses","value":197}
+{"kind":"gauge","name":"9f2c.bank03.fill","value":0.971}
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("sink bytes moved\n got %s\nwant %s", got, want)
 	}
 }

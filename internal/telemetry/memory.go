@@ -4,21 +4,12 @@ import "sort"
 
 // Memory is the in-process recorder backing tests and the delta-trace
 // timeline: events in a bounded ring, samples in order, counters and gauges
-// in maps with deterministic (sorted) snapshot accessors.
+// in maps with deterministic (sorted) accessors.
 type Memory struct {
-	ring           *EventRing
-	samples        []Sample
-	counters       map[string]uint64
-	gauges         map[string]float64
-	taggedCounters map[TaggedKey]uint64
-	taggedGauges   map[TaggedKey]float64
-}
-
-// TaggedKey identifies one (emitter tag, metric name) series in a tag-aware
-// recorder.
-type TaggedKey struct {
-	Tag  string
-	Name string
+	ring     *EventRing
+	samples  []Sample
+	counters map[string]uint64
+	gauges   map[string]float64
 }
 
 // NewMemory builds a memory recorder retaining up to eventCap events
@@ -27,19 +18,10 @@ func NewMemory(eventCap int) *Memory {
 	if eventCap <= 0 {
 		eventCap = DefaultEventCap
 	}
-	m := newAggregate()
-	m.ring = NewEventRing(eventCap)
-	return m
-}
-
-// newAggregate builds a Memory holding counters and gauges only. It has no
-// event ring, so it must never receive Event; Shared wraps one.
-func newAggregate() *Memory {
 	return &Memory{
-		counters:       make(map[string]uint64),
-		gauges:         make(map[string]float64),
-		taggedCounters: make(map[TaggedKey]uint64),
-		taggedGauges:   make(map[TaggedKey]float64),
+		ring:     NewEventRing(eventCap),
+		counters: make(map[string]uint64),
+		gauges:   make(map[string]float64),
 	}
 }
 
@@ -54,31 +36,6 @@ func (m *Memory) Count(name string, delta uint64) { m.counters[name] += delta }
 
 // Gauge implements Recorder.
 func (m *Memory) Gauge(name string, v float64) { m.gauges[name] = v }
-
-// CountTagged implements TaggedRecorder: the delta lands in the (tag, name)
-// series only. The "tag.name"-prefixed flat alias that shadowed every tagged
-// counter during the deprecation window has been removed; read tagged series
-// through TaggedCounter or Snapshot.TaggedCounters.
-func (m *Memory) CountTagged(tag, name string, delta uint64) {
-	m.taggedCounters[TaggedKey{Tag: tag, Name: name}] += delta
-}
-
-// GaugeTagged implements TaggedRecorder; like CountTagged it writes the
-// (tag, name) series only, with no flat-name alias.
-func (m *Memory) GaugeTagged(tag, name string, v float64) {
-	m.taggedGauges[TaggedKey{Tag: tag, Name: name}] = v
-}
-
-// TaggedCounter returns the (tag, name) counter (0 when never counted).
-func (m *Memory) TaggedCounter(tag, name string) uint64 {
-	return m.taggedCounters[TaggedKey{Tag: tag, Name: name}]
-}
-
-// TaggedGaugeValue returns the (tag, name) gauge and whether it was set.
-func (m *Memory) TaggedGaugeValue(tag, name string) (float64, bool) {
-	v, ok := m.taggedGauges[TaggedKey{Tag: tag, Name: name}]
-	return v, ok
-}
 
 // Flush implements Recorder.
 func (m *Memory) Flush() error { return nil }

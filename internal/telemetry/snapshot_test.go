@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-func TestMemorySnapshotDeepCopies(t *testing.T) {
-	m := NewMemory(0)
+func TestSharedSnapshotDeepCopies(t *testing.T) {
+	m := NewShared()
 	m.Count("a.b", 3)
 	m.Gauge("g", 1.5)
 	snap := m.Snapshot()
@@ -102,9 +102,10 @@ func TestWritePrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestSharedConcurrentSampleAndExposition hammers Sample/Count/CountTagged
-// against concurrent WritePrometheus renders; under -race this proves the
-// whole snapshot-and-render path never reads live maps.
+// TestSharedConcurrentSampleAndExposition hammers Sample/Count/Gauge, direct
+// and through tagged FanIn views, against concurrent WritePrometheus
+// renders; under -race this proves the whole snapshot-and-render path never
+// reads live maps.
 func TestSharedConcurrentSampleAndExposition(t *testing.T) {
 	s := NewShared()
 	fan := NewFanIn(s)
@@ -136,64 +137,10 @@ func TestSharedConcurrentSampleAndExposition(t *testing.T) {
 	}
 	wg.Wait()
 	snap := s.Snapshot()
-	var total uint64
-	for k, v := range snap.TaggedCounters {
-		if k.Name == "emitted" {
-			total += v
+	for w := 0; w < 4; w++ {
+		if got := snap.Counters[tagName(w)+".emitted"]; got != 200 {
+			t.Fatalf("%s.emitted = %d, want 200", tagName(w), got)
 		}
-	}
-	if total != 4*200 {
-		t.Fatalf("tagged emitted total = %d, want 800", total)
-	}
-}
-
-// TestWritePrometheusTagLabels pins the labeled exposition shape and
-// verifies the deprecated prefixed aliases are no longer emitted.
-func TestWritePrometheusTagLabels(t *testing.T) {
-	s := NewShared()
-	fan := NewFanIn(s)
-	fan.Tag("w2").Count("delta.challenges", 5)
-	fan.Tag("mixed").Count("delta.challenges", 2)
-	fan.Tag("w2").Gauge("queue.depth", 1.5)
-	s.Count("delta.challenges", 1) // untagged sample in the same family
-
-	var b strings.Builder
-	if err := WritePrometheus(&b, s.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE delta_challenges counter\n",
-		"delta_challenges 1\n",
-		"delta_challenges{tag=\"mixed\"} 2\n",
-		"delta_challenges{tag=\"w2\"} 5\n",
-		"queue_depth{tag=\"w2\"} 1.5\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// The one-release deprecated aliases must not reappear.
-	for _, gone := range []string{
-		"w2_delta_challenges ",
-		"mixed_delta_challenges ",
-		"w2_queue_depth ",
-	} {
-		if strings.Contains(out, gone) {
-			t.Fatalf("deprecated alias %q still emitted:\n%s", gone, out)
-		}
-	}
-	if strings.Count(out, "# TYPE delta_challenges counter\n") != 1 {
-		t.Fatalf("family TYPE line duplicated:\n%s", out)
-	}
-	// The labeled samples sit directly under their family's TYPE line.
-	idx := strings.Index(out, "# TYPE delta_challenges counter\n")
-	block := out[idx:]
-	if end := strings.Index(block[1:], "# TYPE"); end >= 0 {
-		block = block[:end+1]
-	}
-	if !strings.Contains(block, `{tag="w2"}`) {
-		t.Fatalf("labeled sample not grouped with its family:\n%s", out)
 	}
 }
 

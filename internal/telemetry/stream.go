@@ -5,17 +5,6 @@ import (
 	"io"
 	"math"
 	"strconv"
-	"strings"
-)
-
-// Format selects the Stream recorder's wire format.
-type Format int
-
-const (
-	// FormatJSONL writes one JSON object per line, keyed by "kind".
-	FormatJSONL Format = iota
-	// FormatCSV writes a fixed-column CSV with a header row.
-	FormatCSV
 )
 
 // Stream writes telemetry to an io.Writer as it arrives: events and samples
@@ -34,7 +23,6 @@ const (
 //	{"kind":"gauge","name":"bank03.fill","value":0.971}
 type Stream struct {
 	w        *bufio.Writer
-	format   Format
 	counters map[string]uint64
 	gauges   map[string]float64
 	lines    uint64
@@ -42,96 +30,22 @@ type Stream struct {
 }
 
 // NewJSONL builds a JSONL stream recorder over w.
-func NewJSONL(w io.Writer) *Stream { return newStream(w, FormatJSONL) }
-
-// NewCSV builds a CSV stream recorder over w.
-func NewCSV(w io.Writer) *Stream { return newStream(w, FormatCSV) }
-
-func newStream(w io.Writer, f Format) *Stream {
-	s := &Stream{
+func NewJSONL(w io.Writer) *Stream {
+	return &Stream{
 		w:        bufio.NewWriter(w),
-		format:   f,
 		counters: make(map[string]uint64),
 		gauges:   make(map[string]float64),
 	}
-	if f == FormatCSV {
-		s.writeLine("kind,tag,cycle,tile,core,bank,peer,ways,lines,won,gain_from,gain_to,nanos,ipc,mpki,fill,hit_rate,noc_util,mcu_queue,name,value")
-	}
-	return s
 }
 
 // Err returns the first write error, if any.
 func (s *Stream) Err() error { return s.err }
 
-// Lines returns the number of data lines written so far (CSV header
-// excluded).
+// Lines returns the number of lines written so far.
 func (s *Stream) Lines() uint64 { return s.lines }
-
-// csvColumns indexes the fixed CSV layout written in the header row.
-const (
-	colKind = iota
-	colTag
-	colCycle
-	colTile
-	colCore
-	colBank
-	colPeer
-	colWays
-	colLines
-	colWon
-	colGainFrom
-	colGainTo
-	colNanos
-	colIPC
-	colMPKI
-	colFill
-	colHitRate
-	colNoCUtil
-	colMCUQueue
-	colName
-	colValue
-	numCols
-)
-
-func (s *Stream) writeCSV(fields *[numCols]string) {
-	s.writeLine(strings.Join(fields[:], ","))
-}
-
-func csvInt(v int) string {
-	if v == 0 {
-		return ""
-	}
-	return strconv.Itoa(v)
-}
-
-func csvFloat(v float64) string {
-	if v == 0 {
-		return ""
-	}
-	return string(appendJSONFloat(nil, v))
-}
 
 // Event implements Recorder.
 func (s *Stream) Event(ev Event) {
-	if s.format == FormatCSV {
-		var f [numCols]string
-		f[colKind] = ev.Kind.String()
-		f[colTag] = csvEscape(ev.Tag)
-		f[colCycle] = strconv.FormatUint(ev.Cycle, 10)
-		f[colCore] = strconv.Itoa(ev.Core)
-		f[colBank] = strconv.Itoa(ev.Bank)
-		f[colPeer] = csvInt(ev.Peer)
-		f[colWays] = csvInt(ev.Ways)
-		f[colLines] = csvInt(ev.Lines)
-		if ev.Won {
-			f[colWon] = "true"
-		}
-		f[colGainFrom] = csvFloat(ev.GainFrom)
-		f[colGainTo] = csvFloat(ev.GainTo)
-		f[colNanos] = csvInt(int(ev.Nanos))
-		s.writeCSV(&f)
-		return
-	}
 	b := make([]byte, 0, 160)
 	b = append(b, `{"kind":"`...)
 	b = append(b, ev.Kind.String()...)
@@ -179,21 +93,6 @@ func (s *Stream) Event(ev Event) {
 
 // Sample implements Recorder; samples go out as "quantum-sample" records.
 func (s *Stream) Sample(sm Sample) {
-	if s.format == FormatCSV {
-		var f [numCols]string
-		f[colKind] = KindQuantumSample.String()
-		f[colTag] = csvEscape(sm.Tag)
-		f[colCycle] = strconv.FormatUint(sm.Cycle, 10)
-		f[colTile] = strconv.Itoa(sm.Tile)
-		f[colIPC] = csvFloat(sm.IPC)
-		f[colMPKI] = csvFloat(sm.MPKI)
-		f[colFill] = csvFloat(sm.BankFill)
-		f[colHitRate] = csvFloat(sm.BankHitRate)
-		f[colNoCUtil] = csvFloat(sm.NoCLinkUtil)
-		f[colMCUQueue] = csvFloat(sm.MCUQueue)
-		s.writeCSV(&f)
-		return
-	}
 	b := make([]byte, 0, 160)
 	b = append(b, `{"kind":"quantum-sample"`...)
 	if sm.Tag != "" {
@@ -235,27 +134,11 @@ func (s *Stream) Gauge(name string, v float64) { s.gauges[name] = v }
 // and gauge state is cleared once written.
 func (s *Stream) Flush() error {
 	for _, name := range sortedKeys(s.counters) {
-		if s.format == FormatCSV {
-			var f [numCols]string
-			f[colKind] = "counter"
-			f[colName] = csvEscape(name)
-			f[colValue] = strconv.FormatUint(s.counters[name], 10)
-			s.writeCSV(&f)
-			continue
-		}
 		s.writeLine(`{"kind":"counter","name":"` + name + `","value":` +
 			strconv.FormatUint(s.counters[name], 10) + `}`)
 	}
 	for _, name := range sortedKeys(s.gauges) {
 		v := string(appendJSONFloat(nil, s.gauges[name]))
-		if s.format == FormatCSV {
-			var f [numCols]string
-			f[colKind] = "gauge"
-			f[colName] = csvEscape(name)
-			f[colValue] = v
-			s.writeCSV(&f)
-			continue
-		}
 		s.writeLine(`{"kind":"gauge","name":"` + name + `","value":` + v + `}`)
 	}
 	s.counters = make(map[string]uint64)
@@ -289,23 +172,4 @@ func appendJSONFloat(b []byte, v float64) []byte {
 		return append(b, '0')
 	}
 	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// csvEscape quotes a field if it contains a comma or quote; telemetry names
-// never should, but the writer stays safe regardless.
-func csvEscape(f string) string {
-	for i := 0; i < len(f); i++ {
-		if f[i] == ',' || f[i] == '"' || f[i] == '\n' {
-			out := `"`
-			for j := 0; j < len(f); j++ {
-				if f[j] == '"' {
-					out += `""`
-				} else {
-					out += string(f[j])
-				}
-			}
-			return out + `"`
-		}
-	}
-	return f
 }

@@ -1,9 +1,11 @@
 // Package telemetry is the simulator's unified observability layer: a
 // pluggable Recorder interface carrying counters, gauges, per-quantum time
-// series samples and structured reconfiguration events, with three
-// implementations — Nop (measured at <2% overhead on the Fig. 5 hot path by
-// BenchmarkTelemetryOverhead), Memory (tests and the delta-trace timeline)
-// and Stream (JSONL/CSV for offline analysis).
+// series samples and structured reconfiguration events. Nop (measured at
+// <2% overhead on the Fig. 5 hot path by BenchmarkTelemetryOverhead) is the
+// default; Memory backs tests and the delta-trace timeline; Stream writes
+// JSONL for offline analysis; Shared aggregates counters and gauges for a
+// service's /metrics; Multi fans out to several recorders and FanIn
+// serializes concurrent chips into one.
 //
 // The layer is sampling-based by design: nothing in the per-access hot path
 // touches a Recorder. The chip emits time-series samples at quantum
@@ -39,7 +41,7 @@ const (
 	KindQuantumSample
 )
 
-// String returns the stable wire name used in JSONL/CSV output.
+// String returns the stable wire name used in JSONL output.
 func (k EventKind) String() string {
 	switch k {
 	case KindChallenge:

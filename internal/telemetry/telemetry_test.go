@@ -148,32 +148,6 @@ func TestJSONLNonFiniteFloatsStayValid(t *testing.T) {
 	}
 }
 
-func TestCSVStreamShape(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewCSV(&buf)
-	s.Event(Event{Cycle: 10, Kind: KindCede, Core: 1, Peer: 2, Bank: 3, Ways: 4})
-	s.Sample(Sample{Cycle: 1000, Tile: 0, IPC: 1.5})
-	s.Count("c", 1)
-	s.Gauge("g", 2.5)
-	if err := s.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 5 { // header + 4 records
-		t.Fatalf("%d lines, want 5:\n%s", len(lines), buf.String())
-	}
-	want := strings.Count(lines[0], ",")
-	for i, ln := range lines {
-		if got := strings.Count(ln, ","); got != want {
-			t.Fatalf("line %d has %d commas, header has %d:\n%s", i, got, want, ln)
-		}
-	}
-	// Tile 0 must be written explicitly (0 is a real tile ID).
-	if !strings.HasPrefix(lines[2], "quantum-sample,,1000,0,") {
-		t.Fatalf("sample row lost its tile: %s", lines[2])
-	}
-}
-
 func TestMultiFansOut(t *testing.T) {
 	a, b := NewMemory(0), NewMemory(0)
 	m := NewMulti(a, b)

@@ -152,6 +152,17 @@ func TestPolicyParamsInvalidRejected(t *testing.T) {
 	}
 }
 
+// TestPolicyParamsForOtherPolicyRejected: params keyed by a policy other
+// than the run's never reach it, so accepting them would give two identical
+// runs different content addresses; New rejects them instead.
+func TestPolicyParamsForOtherPolicyRejected(t *testing.T) {
+	_, err := New(WithCores(16), WithPolicy(PolicyDelta),
+		WithPolicyParams(PolicyLFOC, map[string]int{"NoSuchKnob": 1, "SharedWays": -3}))
+	if err == nil || !strings.Contains(err.Error(), string(PolicyLFOC)) {
+		t.Fatalf("err = %v, want an error naming the lfoc params", err)
+	}
+}
+
 // TestPolicyParamsOutOfRangeRejected: parameters a policy would panic on,
 // run with a nonsense value, ignore or reinterpret as a default surface as
 // errors from New, for every configurable policy and for bankbw's base.

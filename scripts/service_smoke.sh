@@ -304,9 +304,9 @@ trap cleanup3 EXIT
 
 go build -o "${TRACE_BIN}" ./cmd/delta-trace
 
-start_tel_server() {
+start_tel_server() { # $1 = log file; further arguments go to the server
   "${BIN}" -addr "${ADDR}" -workers 2 -queue-depth 8 -job-timeout 60s \
-    -telemetry-dir "${TEL_DIR}" >"$1" 2>&1 &
+    -telemetry-dir "${TEL_DIR}" "${@:2}" >"$1" 2>&1 &
   SRV_PID=$!
   for i in $(seq 1 50); do
     if curl -sf "http://${ADDR}/healthz" >/dev/null 2>&1; then return 0; fi
@@ -371,6 +371,32 @@ MERGED2=$("${TRACE_BIN}" merge "${TEL_DIR}/${TID1}" "${TEL_DIR}/${TID2}")
 if [ "${MERGED}" != "${MERGED2}" ]; then
   echo "merge re-decode is not byte-stable"; exit 1
 fi
+
+# --- JSONL sink lane ---------------------------------------------------------
+# Run one DELTA job against a server with the -jsonl sink and stop it with
+# SIGTERM, which flushes the sink. Every line must parse; every event and
+# sample must carry the job id as its "tag", and the job's counters must be
+# named "<job id>.<name>".
+
+JSONL_FILE="${TEL_DIR}/t.jsonl"
+echo "== jsonl lane: one delta job with the -jsonl sink"
+start_tel_server "${LOG2}" -jsonl "${JSONL_FILE}"
+JID=$(run_job '{"policy":"delta","cores":4,"apps":["mcf","lbm","povray","omnetpp"],"warmup_instructions":4000,"budget_instructions":40000,"seed":3}')
+kill -TERM "${SRV_PID}"
+EXIT_CODE=0
+wait "${SRV_PID}" || EXIT_CODE=$?
+SRV_PID=""
+[ "${EXIT_CODE}" -eq 0 ] || { echo "server exited ${EXIT_CODE}:"; cat "${LOG2}"; exit 1; }
+
+echo "== jsonl lane: every line parses, records carry the job id"
+[ -s "${JSONL_FILE}" ] || { echo "empty -jsonl file"; exit 1; }
+jq -c . "${JSONL_FILE}" >/dev/null || { echo "-jsonl file has a line that does not parse"; exit 1; }
+TAGS=$(jq -r 'select(.kind != "counter" and .kind != "gauge") | .tag' "${JSONL_FILE}" | sort -u)
+[ "${TAGS}" = "${JID}" ] || { echo "events and samples carry tags '${TAGS}', want '${JID}'"; exit 1; }
+jq -se --arg id "${JID}" 'any(.[]; .kind == "challenge" and .tag == $id)' "${JSONL_FILE}" >/dev/null \
+  || { echo "no challenge event tagged ${JID}"; exit 1; }
+jq -se --arg n "${JID}.chip.llc_accesses" 'any(.[]; .kind == "counter" and .name == $n)' "${JSONL_FILE}" >/dev/null \
+  || { echo "no counter named ${JID}.chip.llc_accesses"; exit 1; }
 
 # --- fabric lane -------------------------------------------------------------
 # Boot a coordinator over two workers, batch-submit four jobs (one duplicate,

@@ -42,7 +42,7 @@ const ChipWideSample = telemetry.ChipWide
 // samples in order, counters/gauges in maps with sorted accessors.
 type MemoryRecorder = telemetry.Memory
 
-// StreamRecorder writes telemetry to an io.Writer as JSONL or CSV.
+// StreamRecorder writes telemetry to an io.Writer as JSONL.
 type StreamRecorder = telemetry.Stream
 
 // NopRecorder discards everything at (benchmarked) negligible cost.
@@ -57,9 +57,6 @@ func NewMemoryRecorder(eventCap int) *MemoryRecorder {
 // NewJSONLRecorder builds a streaming recorder emitting one JSON object per
 // line; call Flush when the run completes.
 func NewJSONLRecorder(w io.Writer) *StreamRecorder { return telemetry.NewJSONL(w) }
-
-// NewCSVRecorder builds a streaming recorder emitting fixed-column CSV.
-func NewCSVRecorder(w io.Writer) *StreamRecorder { return telemetry.NewCSV(w) }
 
 // NewMultiRecorder fans telemetry out to several recorders.
 func NewMultiRecorder(recs ...Recorder) Recorder { return telemetry.NewMulti(recs...) }
