@@ -33,6 +33,11 @@ import (
 // LineBytes is the cache line size in bytes across the whole hierarchy.
 const LineBytes = 64
 
+// maxClk bounds a cache's recency clock: victim keys hold a stamp in their
+// upper 58 bits and a way in the low six. A cache would need 1<<58 accesses
+// to reach it; Restore rejects a snapshot at or beyond it.
+const maxClk = 1 << 58
+
 // NoOwner marks a line not attributed to any partition (used by caches that
 // are private and do not track partitions).
 const NoOwner = -1
@@ -211,20 +216,29 @@ func (c *Cache) Release() {
 // SizeBytes returns the cache capacity.
 func (c *Cache) SizeBytes() int { return c.Sets * c.Ways * LineBytes }
 
-// matchMask returns the set's valid ways holding lineAddr as a bitmask; its
-// lowest set bit is the way a first-match scan would find.
-func (c *Cache) matchMask(setIdx int, lineAddr uint64) uint64 {
+// tagMask returns every way of the set whose tag equals lineAddr as a
+// bitmask. Masked with the set's valid bits, its lowest set bit is the way a
+// first-match scan would find.
+func (c *Cache) tagMask(setIdx int, lineAddr uint64) uint64 {
 	base := setIdx * c.stride
-	return equalMask(c.words[base:base+c.Ways:base+c.Ways], lineAddr) & c.valid[setIdx]
+	return equalMask(c.words[base:base+c.Ways], lineAddr)
 }
 
-// equalMask returns a mask with bit w set where ws[w] == v. Each compare
-// becomes one bit without a data-dependent branch, so a scan costs the same
-// whether it matches early, late or not at all.
+// equalMask returns a mask with bit w set where ws[w] == v. It compares
+// eight tags per chunk, each compare one bit without a data-dependent
+// branch, so a scan costs the same whether it matches early, late or not at
+// all. A 16-way LLC set is two chunks; the ways past the last full chunk
+// (every way of a 1-, 2- or 4-way set) are compared one at a time.
 func equalMask(ws []uint64, v uint64) uint64 {
 	var m uint64
-	for w := len(ws) - 1; w >= 0; w-- {
-		m = m<<1 | b2u(ws[w] == v)
+	n := len(ws) &^ 7
+	for i := 0; i < n; i += 8 {
+		c := ws[i : i+8 : i+8]
+		m |= (b2u(c[0] == v) | b2u(c[1] == v)<<1 | b2u(c[2] == v)<<2 | b2u(c[3] == v)<<3 |
+			b2u(c[4] == v)<<4 | b2u(c[5] == v)<<5 | b2u(c[6] == v)<<6 | b2u(c[7] == v)<<7) << uint(i)
+	}
+	for i := n; i < len(ws); i++ {
+		m |= b2u(ws[i] == v) << uint(i)
 	}
 	return m
 }
@@ -240,7 +254,7 @@ func b2u(b bool) uint64 {
 // findLine locates a valid line with the given address in a set, returning
 // its way or -1.
 func (c *Cache) findLine(setIdx int, lineAddr uint64) int {
-	if m := c.matchMask(setIdx, lineAddr); m != 0 {
+	if m := c.tagMask(setIdx, lineAddr) & c.valid[setIdx]; m != 0 {
 		return bits.TrailingZeros64(m)
 	}
 	return -1
@@ -366,19 +380,67 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) (int, bool) {
 // LookupIdx is Lookup with an explicit set index (NUCA-interleaved layouts).
 func (c *Cache) LookupIdx(setIdx int, lineAddr uint64, write bool) (int, bool) {
 	c.Stats.Accesses++
-	m := c.matchMask(setIdx, lineAddr)
-	if m == 0 {
-		c.Stats.Misses++
-		return -1, false
+	if m := c.tagMask(setIdx, lineAddr) & c.valid[setIdx]; m != 0 {
+		w := bits.TrailingZeros64(m)
+		c.touch(setIdx, w, write)
+		return setIdx*c.Ways + w, true
 	}
-	w := bits.TrailingZeros64(m)
+	c.Stats.Misses++
+	return -1, false
+}
+
+// touch accounts a lookup hit on way w of setIdx: the line becomes most
+// recently used and, on a write, dirty.
+func (c *Cache) touch(setIdx, w int, write bool) {
 	c.clk++
 	c.words[setIdx*c.stride+c.Ways+w] = c.clk
-	if write {
-		c.dirty[setIdx] |= 1 << uint(w)
-	}
+	c.dirty[setIdx] |= b2u(write) << uint(w)
 	c.Stats.Hits++
-	return setIdx*c.Ways + w, true
+}
+
+// Level is the private level that served a reference (AccessPrivate).
+type Level uint8
+
+const (
+	// MissL2 means both private levels missed; nothing was filled.
+	MissL2 Level = iota
+	// HitL1 means the L1 held the line.
+	HitL1
+	// HitL2 means the L2 held the line and the L1 has been refilled.
+	HitL2
+)
+
+// AccessPrivate performs one reference against a private L1/L2 pair in one
+// call: it probes the L1 set once and, on a miss there, the L2 set once. On
+// an L2 hit it refills the L1 at the set it already probed. An L2 hit
+// changes no L1 state, so that refill picks the victim Fill would pick.
+// Every counter, stamp and flag of both caches ends as after l1.Lookup, then
+// l2.Lookup, then, on an L2 hit, l1.Fill. On MissL2 both caches have
+// counted the miss and nothing is filled: the caller fetches the line from
+// below and fills the L2, then the L1 (an L2 eviction may back-invalidate an
+// L1 line, so the L1 victim is picked only after it).
+func AccessPrivate(l1, l2 *Cache, lineAddr uint64, write bool) Level {
+	s1 := l1.SetIndex(lineAddr)
+	v1 := l1.valid[s1]
+	l1.Stats.Accesses++
+	if m := l1.tagMask(s1, lineAddr) & v1; m != 0 {
+		l1.touch(s1, bits.TrailingZeros64(m), write)
+		return HitL1
+	}
+	l1.Stats.Misses++
+	s2 := l2.SetIndex(lineAddr)
+	l2.Stats.Accesses++
+	m := l2.tagMask(s2, lineAddr) & l2.valid[s2]
+	if m == 0 {
+		l2.Stats.Misses++
+		return MissL2
+	}
+	l2.touch(s2, bits.TrailingZeros64(m), write)
+	l1.guardMutation()
+	way := l1.victim(s1, v1, l1.allMask)
+	l1.evict(s1, way, false)
+	l1.place(s1, way, lineAddr, NoOwner, write)
+	return HitL2
 }
 
 // Probe reports whether the line is present without touching LRU state or
@@ -472,7 +534,7 @@ func (c *Cache) InsertIdx(setIdx int, lineAddr uint64, owner int, write bool, ma
 	if owner != NoOwner && !c.trackOwners {
 		panic(fmt.Sprintf("cache: owner %d inserted into a cache without owner tracking", owner))
 	}
-	way := c.victim(setIdx, mask)
+	way := c.victim(setIdx, c.valid[setIdx], mask)
 	evicted, hadVictim := c.evict(setIdx, way, true)
 	return c.place(setIdx, way, lineAddr, owner, write), evicted, hadVictim
 }
@@ -484,41 +546,30 @@ func (c *Cache) InsertIdx(setIdx int, lineAddr uint64, owner int, write bool, ma
 func (c *Cache) Fill(lineAddr uint64, write bool) {
 	c.guardMutation()
 	setIdx := c.SetIndex(lineAddr)
-	way := c.victim(setIdx, c.allMask)
+	way := c.victim(setIdx, c.valid[setIdx], c.allMask)
 	c.evict(setIdx, way, false)
 	c.place(setIdx, way, lineAddr, NoOwner, write)
 }
 
 // victim picks the way an insertion restricted to mask (non-empty, within
-// allMask) displaces: the lowest-numbered invalid allowed way, otherwise the
-// least recently used allowed way (lowest recency stamp, lowest way on a
-// tie).
-func (c *Cache) victim(setIdx int, mask uint64) int {
-	if inv := mask &^ c.valid[setIdx]; inv != 0 {
+// allMask) displaces from a set whose valid mask is valid: the
+// lowest-numbered invalid allowed way, otherwise the least recently used
+// allowed way (lowest recency stamp, lowest way on a tie). The LRU way is
+// one branch-free min over the keys stamp<<6|way of the allowed ways, so
+// equal stamps fall to the lower way. Stamps never exceed the clock, which
+// stays below maxClk, so no key overflows.
+func (c *Cache) victim(setIdx int, valid, mask uint64) int {
+	if inv := mask &^ valid; inv != 0 {
 		return bits.TrailingZeros64(inv)
 	}
 	base := setIdx*c.stride + c.Ways
 	used := c.words[base : base+c.Ways : base+c.Ways]
-	if mask == c.allMask {
-		// Unrestricted insertion (private caches, shared policies): a
-		// branch-free min over the contiguous stamp span, then the lowest
-		// way holding it.
-		oldest := used[0]
-		for _, u := range used[1:] {
-			oldest = min(oldest, u)
-		}
-		return bits.TrailingZeros64(equalMask(used, oldest))
-	}
-	victim := -1
-	var oldest uint64 = ^uint64(0)
+	best := ^uint64(0)
 	for m := mask; m != 0; m &= m - 1 {
 		w := bits.TrailingZeros64(m)
-		if used[w] < oldest {
-			oldest = used[w]
-			victim = w
-		}
+		best = min(best, used[w]<<6|uint64(w))
 	}
-	return victim
+	return int(best & 63)
 }
 
 // evict accounts for displacing way of setIdx when it holds a valid line:
@@ -531,9 +582,7 @@ func (c *Cache) evict(setIdx, way int, needLine bool) (Line, bool) {
 		return Line{}, false
 	}
 	c.Stats.Evictions++
-	if c.dirty[setIdx]&bit != 0 {
-		c.Stats.DirtyEvicts++
-	}
+	c.Stats.DirtyEvicts += c.dirty[setIdx] >> uint(way) & 1
 	if !needLine && c.OnEvict == nil && !c.trackOwners {
 		return Line{}, true
 	}
@@ -558,11 +607,7 @@ func (c *Cache) place(setIdx, way int, lineAddr uint64, owner int, write bool) i
 		c.noteInsert(owner)
 	}
 	c.valid[setIdx] |= bit
-	if write {
-		c.dirty[setIdx] |= bit
-	} else {
-		c.dirty[setIdx] &^= bit
-	}
+	c.dirty[setIdx] = c.dirty[setIdx]&^bit | b2u(write)<<uint(way)
 	return idx
 }
 

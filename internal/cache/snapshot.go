@@ -111,7 +111,10 @@ func resize[T any](s []T, n int) []T {
 // construction-time configuration and are left untouched. Snapshots arrive
 // from outside the process, so directory state this cache cannot hold —
 // owners or sharers on a cache without owner tracking, sharer bits beyond a
-// bank's partitions — is an error, and nothing is overwritten.
+// bank's partitions — is an error, and nothing is overwritten. So is a
+// clock at or beyond 1<<58 or a recency stamp beyond the clock: the access
+// path stamps lines from the clock and packs a stamp and a way into one
+// 64-bit victim key.
 func (c *Cache) Restore(s snapshot.Cache) error {
 	if s.Sets != c.Sets || s.Ways != c.Ways {
 		return fmt.Errorf("cache: snapshot geometry %dx%d, cache is %dx%d", s.Sets, s.Ways, c.Sets, c.Ways)
@@ -126,6 +129,14 @@ func (c *Cache) Restore(s snapshot.Cache) error {
 		}
 	} else if len(s.Occupancy) != 0 {
 		return fmt.Errorf("cache: snapshot carries occupancy but owner tracking is off")
+	}
+	if s.Clk >= maxClk {
+		return fmt.Errorf("cache: snapshot clock %d is not below %d", s.Clk, uint64(maxClk))
+	}
+	for i, u := range s.Used {
+		if u > s.Clk {
+			return fmt.Errorf("cache: snapshot line %d: stamp %d is beyond the clock %d", i, u, s.Clk)
+		}
 	}
 	for i, f := range s.Flags {
 		if err := c.checkDirectory(f&1 != 0, s.Owners[i], s.Sharers[i]); err != nil {

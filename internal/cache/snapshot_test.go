@@ -150,3 +150,28 @@ func TestSnapshotRestoreRejectsUnstorableDirectory(t *testing.T) {
 		t.Fatal("bank restore accepted a sharer bit beyond its partitions")
 	}
 }
+
+// TestSnapshotRestoreRejectsUnorderedStamps: victim keys pack a recency
+// stamp above a 6-bit way, so a snapshot whose clock reaches maxClk, or
+// with a stamp beyond its clock, is an error and leaves the cache untouched.
+func TestSnapshotRestoreRejectsUnorderedStamps(t *testing.T) {
+	bank := func() *Cache { return New(Config{SizeBytes: 16 * 1024, Ways: 8, TrackOwners: true, Partitions: 4}) }
+	src := bank()
+	churn(src, 5, 200)
+	for name, corrupt := range map[string]func(s *snapshot.Cache){
+		"clock at maxClk":    func(s *snapshot.Cache) { s.Clk = maxClk },
+		"stamp beyond clock": func(s *snapshot.Cache) { s.Used[3] = s.Clk + 1 },
+		"stamp past 1<<58":   func(s *snapshot.Cache) { s.Used[0] = 1 << 60 },
+	} {
+		bad := src.Snapshot()
+		corrupt(&bad)
+		dst := bank()
+		before := dst.Snapshot()
+		if err := dst.Restore(bad); err == nil {
+			t.Fatalf("%s: restore accepted", name)
+		}
+		if !reflect.DeepEqual(dst.Snapshot(), before) {
+			t.Fatalf("%s: rejected restore modified the cache", name)
+		}
+	}
+}

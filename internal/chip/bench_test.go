@@ -19,12 +19,23 @@ import (
 // be imported here (it imports chip), so mixtures are assembled directly from
 // trace primitives: "mixed" approximates a Table IV mix (hot region + warm
 // region + streaming tail); "llc" uses a working set far beyond the private
-// L2 so essentially every reference exercises the LLC bank path that the
-// markSharer fix targets.
+// L2 so essentially every reference exercises the LLC bank path; "l2" models
+// the L2-resident applications (sjeng, namd and zeusmp: 64, 80 and 96 KB
+// uniform working sets with their pacing and write shares) whose cores keep
+// running after their windows close and then issue most of a Fig. 5 run's
+// references, nearly all served by the private L1/L2 step.
 func benchGen(kind string, i int) trace.Generator {
 	seed := uint64(i)*7919 + 17
-	if kind == "llc" {
+	switch kind {
+	case "llc":
 		return trace.NewRegionGen(0, trace.Lines(4096), seed+1)
+	case "l2":
+		app := [...]struct {
+			kb                int
+			mem, write, burst float64
+		}{{64, 0.25, 0.2, 2}, {80, 0.30, 0.15, 3}, {96, 0.28, 0.25, 3}}[i%3]
+		return trace.NewShaper(trace.NewRegionGen(0, trace.Lines(app.kb), seed+1),
+			trace.ShaperConfig{MemFraction: app.mem, WriteFraction: app.write, Burst: app.burst, Seed: seed})
 	}
 	return trace.NewMixtureGen(seed,
 		trace.Component{Gen: trace.NewRegionGen(0, trace.Lines(64), seed+1), Weight: 0.5},
@@ -58,16 +69,18 @@ func BenchmarkAccessPath(b *testing.B) {
 		{"private-mixed", "mixed", func() Policy { return NewPrivate() }},
 		{"snuca-llc", "llc", func() Policy { return NewSnuca() }},
 		{"private-llc", "llc", func() Policy { return NewPrivate() }},
+		{"snuca-l2", "l2", func() Policy { return NewSnuca() }},
 	} {
 		b.Run(pol.name, func(b *testing.B) {
 			c := benchChip(pol.mk(), pol.kind)
+			lat := c.privateLatencies()
 			// Warm the hierarchy so steady-state hits dominate as in a real
 			// run, then time the access path itself.
 			for i := 0; i < 200_000; i++ {
 				core := i & 15
 				t := c.Tiles[core]
 				acc := t.gen.Next()
-				c.access(core, t.base+acc.Line, acc.Write)
+				c.access(core, t, &lat, t.base+acc.Line, acc.Write)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -75,7 +88,7 @@ func BenchmarkAccessPath(b *testing.B) {
 				core := i & 15
 				t := c.Tiles[core]
 				acc := t.gen.Next()
-				c.access(core, t.base+acc.Line, acc.Write)
+				c.access(core, t, &lat, t.base+acc.Line, acc.Write)
 			}
 		})
 	}

@@ -872,21 +872,21 @@ func (c *Chip) RunCtx(ctx context.Context, warmup, budget uint64) error {
 }
 
 // advanceCore issues accesses until the core's local clock passes qEnd.
+// What stays fixed for the quantum (the tile, its generator, the composed
+// rate and the private hit latencies) is read once, outside the loop.
 func (c *Chip) advanceCore(i int, qEnd, warmup, budget uint64) {
 	t := c.Tiles[i]
-	core := t.Core
+	core, gen := t.Core, t.gen
+	pct := t.ratePct
+	if t.throttlePct != 100 {
+		// A regulating policy's throttle composes multiplicatively with
+		// the scenario's rate so neither overwrites the other.
+		pct = max(pct*t.throttlePct/100, 1)
+	}
+	lat := c.privateLatencies()
 	for core.Cycle() < qEnd {
-		acc := t.gen.Next()
+		acc := gen.Next()
 		gap := acc.Gap
-		pct := t.ratePct
-		if t.throttlePct != 100 {
-			// A regulating policy's throttle composes multiplicatively with
-			// the scenario's rate so neither overwrites the other.
-			pct = pct * t.throttlePct / 100
-			if pct < 1 {
-				pct = 1
-			}
-		}
 		if pct != 100 {
 			// A load spike compresses the non-memory work between accesses,
 			// raising the LLC-bound request rate by pct/100; a throttle
@@ -894,8 +894,7 @@ func (c *Chip) advanceCore(i int, qEnd, warmup, budget uint64) {
 			gap = gap * 100 / pct
 		}
 		core.AdvanceNonMem(gap)
-		lat := c.access(i, t.base+acc.Line, acc.Write)
-		core.Memory(lat)
+		core.Memory(c.access(i, t, &lat, t.base+acc.Line, acc.Write))
 		// Both window checks subtract before comparing: warmBase/startInstr
 		// are latched on tiles whose cores already retired instructions when
 		// the occupant attached, so the thresholds are relative, not
@@ -930,19 +929,28 @@ func (c *Chip) quantumBookkeeping() {
 	}
 }
 
-// access performs one memory reference for core i and returns its latency.
-func (c *Chip) access(i int, line uint64, write bool) uint64 {
-	t := c.Tiles[i]
-	// L1.
-	if _, hit := t.L1.Lookup(line, write); hit {
-		return c.Cfg.Lat.L1Hit
+// privateLatencies is the load-to-use latency of a reference served by
+// each private level, indexed by cache.Level; the MissL2 entry is unused.
+func (c *Chip) privateLatencies() [3]uint64 {
+	l := c.Cfg.Lat
+	return [3]uint64{cache.HitL1: l.L1Hit, cache.HitL2: l.L1Hit + l.L2Tag + l.L2Data}
+}
+
+// access performs one memory reference for core i, whose tile is t, and
+// returns its latency. One fused step serves it from the private L1/L2 pair
+// (lat is privateLatencies, read once per quantum by the caller); only an
+// L2 miss goes on to the LLC.
+func (c *Chip) access(i int, t *Tile, lat *[3]uint64, line uint64, write bool) uint64 {
+	if lvl := cache.AccessPrivate(t.L1, t.L2, line, write); lvl != cache.MissL2 {
+		return lat[lvl]
 	}
-	// L2.
-	if _, hit := t.L2.Lookup(line, write); hit {
-		lat := c.Cfg.Lat.L1Hit + c.Cfg.Lat.L2Tag + c.Cfg.Lat.L2Data
-		t.L1.Fill(line, write)
-		return lat
-	}
+	return c.accessLLC(i, t, line, write)
+}
+
+// accessLLC completes a reference that missed core i's private caches: the
+// LLC bank lookup, on a miss the memory fetch and partitioned insertion,
+// then the private refill. It returns the reference's whole latency.
+func (c *Chip) accessLLC(i int, t *Tile, line uint64, write bool) uint64 {
 	// L2 miss: the UMON observes the LLC-bound stream.
 	t.Mon.Access(line)
 	t.LLCAccesses++

@@ -10,11 +10,14 @@
 // gain/pain formulas consume.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes the core, with defaults from Table II.
 type Config struct {
-	DispatchWidth int    // instructions per cycle (4)
+	DispatchWidth int    // instructions per cycle (4); a power of two
 	ROBEntries    int    // overlap window in instructions (128)
 	MSHRs         int    // maximum overlapping long-latency accesses (10)
 	HideLatency   uint64 // latencies <= this are fully pipeline-hidden (L2 hit)
@@ -38,6 +41,10 @@ type Stats struct {
 // Core is one tile's processor model. Not safe for concurrent use.
 type Core struct {
 	cfg Config
+	// log2(DispatchWidth) and DispatchWidth-1: dispatch accounting on
+	// every reference shifts and masks instead of dividing.
+	widthLog  uint
+	widthMask uint64
 
 	cycle     uint64
 	dispatchQ uint64 // sub-cycle dispatch budget, in instruction slots
@@ -54,12 +61,14 @@ type Core struct {
 	last Stats
 }
 
-// New builds a core.
+// New builds a core. DispatchWidth must be a power of two (Table II's
+// width is 4).
 func New(cfg Config) *Core {
-	if cfg.DispatchWidth <= 0 || cfg.ROBEntries <= 0 || cfg.MSHRs <= 0 {
+	w := cfg.DispatchWidth
+	if w <= 0 || w&(w-1) != 0 || cfg.ROBEntries <= 0 || cfg.MSHRs <= 0 {
 		panic(fmt.Sprintf("cpu: invalid config %+v", cfg))
 	}
-	return &Core{cfg: cfg}
+	return &Core{cfg: cfg, widthLog: uint(bits.TrailingZeros(uint(w))), widthMask: uint64(w - 1)}
 }
 
 // Cycle returns the core's local clock.
@@ -77,14 +86,15 @@ func (c *Core) SetCycle(cy uint64) {
 }
 
 // AdvanceNonMem retires n non-memory instructions at the dispatch width.
+// n == 0, the gap inside a burst of accesses, changes nothing.
 func (c *Core) AdvanceNonMem(n int) {
-	if n <= 0 {
+	if n < 0 {
 		return
 	}
 	c.Stats.Instructions += uint64(n)
 	c.dispatchQ += uint64(n)
-	c.cycle += c.dispatchQ / uint64(c.cfg.DispatchWidth)
-	c.dispatchQ %= uint64(c.cfg.DispatchWidth)
+	c.cycle += c.dispatchQ >> c.widthLog
+	c.dispatchQ &= c.widthMask
 }
 
 // Memory retires one memory instruction whose total load-to-use latency is
@@ -96,10 +106,8 @@ func (c *Core) Memory(lat uint64) {
 	// The access consumes a dispatch slot like any instruction; the
 	// queue only spills into the clock once it fills the dispatch width.
 	c.dispatchQ++
-	if w := uint64(c.cfg.DispatchWidth); c.dispatchQ >= w {
-		c.cycle += c.dispatchQ / w
-		c.dispatchQ %= w
-	}
+	c.cycle += c.dispatchQ >> c.widthLog
+	c.dispatchQ &= c.widthMask
 
 	if lat <= c.cfg.HideLatency {
 		return

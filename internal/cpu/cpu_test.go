@@ -179,6 +179,24 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	New(Config{DispatchWidth: 0, ROBEntries: 1, MSHRs: 1})
 }
 
+// Dispatch accounting shifts and masks by the width, so a width that is not
+// a power of two is rejected rather than mis-timed.
+func TestNewPanicsOnNonPowerOfTwoWidth(t *testing.T) {
+	for _, w := range []int{3, 5, 6, 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("dispatch width %d: expected panic", w)
+				}
+			}()
+			New(Config{DispatchWidth: w, ROBEntries: 1, MSHRs: 1})
+		}()
+	}
+	for _, w := range []int{1, 2, 4, 8} {
+		New(Config{DispatchWidth: w, ROBEntries: 1, MSHRs: 1})
+	}
+}
+
 // Property: the clock never runs backwards and instructions are conserved.
 func TestClockMonotoneProperty(t *testing.T) {
 	f := func(ops []uint16) bool {

@@ -38,9 +38,6 @@ func NewJSONL(w io.Writer) *Stream {
 	}
 }
 
-// Err returns the first write error, if any.
-func (s *Stream) Err() error { return s.err }
-
 // Lines returns the number of lines written so far.
 func (s *Stream) Lines() uint64 { return s.lines }
 

@@ -147,6 +147,69 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	checkRestoreEveryPolicy(t, restoreCase{mix: "w1", boundaries: []int{1, 4}, checkResume: true})
 }
 
+// TestRestoreSnapshotRoundTrip: restoring a checkpoint and snapshotting the
+// restored simulator at once must give back the checkpoint's bytes, for
+// every policy on w1 at an early, a cold-cache and a late boundary. Where
+// the resumed run's fingerprint cannot see restored state that has not yet
+// influenced the run (DELTA's pain estimates, its inter-bank ticker, UMON
+// stacks at a cold start), a restore that drops or alters such state fails
+// here.
+func TestRestoreSnapshotRoundTrip(t *testing.T) {
+	boundaries := []int{1, 4, 100}
+	for _, pol := range allPolicyKinds() {
+		t.Run(string(pol), func(t *testing.T) {
+			t.Parallel()
+			sim := newTestSim(t, pol)
+			sim.LoadMix("w1")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			captures := map[int][]byte{}
+			n := 0
+			sim.chip.SetCheckpoint(1, func(uint64) {
+				n++
+				if !slices.Contains(boundaries, n) {
+					return
+				}
+				snap, err := sim.Snapshot()
+				if err != nil {
+					t.Fatalf("boundary %d: snapshot: %v", n, err)
+				}
+				if captures[n], err = snap.Encode(); err != nil {
+					t.Fatalf("boundary %d: encode: %v", n, err)
+				}
+				if n == boundaries[len(boundaries)-1] {
+					cancel()
+				}
+			})
+			if _, err := sim.RunCtx(ctx); err == nil {
+				t.Fatalf("run finished before boundary %d; grow the budget", boundaries[len(boundaries)-1])
+			}
+			for _, k := range boundaries {
+				decoded, err := DecodeSnapshot(captures[k])
+				if err != nil {
+					t.Fatalf("q%d: decode: %v", k, err)
+				}
+				restored, err := Restore(decoded)
+				if err != nil {
+					t.Fatalf("q%d: restore: %v", k, err)
+				}
+				snap, err := restored.Snapshot()
+				if err != nil {
+					t.Fatalf("q%d: snapshot of the restored simulator: %v", k, err)
+				}
+				again, err := snap.Encode()
+				if err != nil {
+					t.Fatalf("q%d: encode: %v", k, err)
+				}
+				if !bytes.Equal(again, captures[k]) {
+					t.Errorf("q%d: restore then snapshot changed the checkpoint (%d bytes, was %d)", k, len(again), len(captures[k]))
+				}
+				restored.Close()
+			}
+		})
+	}
+}
+
 // TestSnapshotEncodeDeterministic: the same state must always serialize to
 // the same bytes (the service compares cached results and checkpoints
 // byte-for-byte).
